@@ -29,11 +29,8 @@
 // dedup-cache rejections); -json writes BENCH_e2e.json. -wire compares
 // the in-process baseline against the same burst submitted through the
 // TCP wire protocol to a cluster of separate OS processes (this binary
-// re-executed per role, docs/WIRE.md) under each payload codec
-// (-wire-codec both|binary|json), optionally adding TLS (-wire-tls)
-// and 16 KiB-value (-wire-large) cells; -wire-gate fails the run if
-// the binary codec measures slower than JSON (-wire-gate-slack widens
-// the noise tolerance for short smoke runs); -json writes
+// re-executed per role, docs/WIRE.md), optionally adding TLS
+// (-wire-tls) and 16 KiB-value (-wire-large) cells; -json writes
 // BENCH_wire.json. -snapshot compares the two cold-join paths
 // (docs/SNAPSHOT.md): genesis replay of the full chain plus private
 // data reconciliation against snapshot export+install at the source's
@@ -68,26 +65,7 @@ import (
 	"repro/internal/loadgen"
 	"repro/internal/node"
 	"repro/internal/perf"
-	"repro/internal/wire"
 )
-
-// wireGateCheck enforces the CI smoke invariant: the binary codec must
-// not be measurably slower than JSON on the same deployment. The slack
-// absorbs scheduler noise — the gate exists to catch systematic
-// inversions, not run-to-run jitter, so short smoke runs widen it.
-func wireGateCheck(r perf.WireResult, slack float64) error {
-	bin, js := r.Cell("wire-binary"), r.Cell("wire-json")
-	if bin == nil || js == nil {
-		return fmt.Errorf("wire gate: need both wire-binary and wire-json cells (use -wire-codec both)")
-	}
-	if js.P50Ms > 0 && bin.P50Ms > js.P50Ms*slack {
-		return fmt.Errorf("wire gate: binary p50 %.2fms > json p50 %.2fms x %.2f", bin.P50Ms, js.P50Ms, slack)
-	}
-	if js.AchievedTPS > 0 && bin.AchievedTPS < js.AchievedTPS/slack {
-		return fmt.Errorf("wire gate: binary tps %.1f < json tps %.1f / %.2f", bin.AchievedTPS, js.AchievedTPS, slack)
-	}
-	return nil
-}
 
 func main() {
 	// The -wire scenario launches this binary as the cluster's role
@@ -144,11 +122,8 @@ func run(args []string) error {
 	wireClients := fs.Int("wire-clients", 4, "concurrent clients for -wire")
 	wireTxs := fs.Int("wire-txs", 50, "transactions per client for -wire")
 	wireBatch := fs.Int("wire-batch", 8, "orderer batch size for -wire")
-	wireCodec := fs.String("wire-codec", "both", "payload codec cells for -wire: both, binary or json")
-	wireTLS := fs.Bool("wire-tls", false, "add a binary-codec TLS cell to -wire")
-	wireLarge := fs.Bool("wire-large", false, "add a binary-codec 16 KiB-value cell to -wire")
-	wireGate := fs.Bool("wire-gate", false, "with -wire, fail if the binary codec is slower than JSON (CI smoke)")
-	wireGateSlack := fs.Float64("wire-gate-slack", 1.10, "noise tolerance for -wire-gate (e.g. 1.25 allows 25% slack)")
+	wireTLS := fs.Bool("wire-tls", false, "add a TLS cell to -wire")
+	wireLarge := fs.Bool("wire-large", false, "add a 16 KiB-value cell to -wire")
 	jsonFlag := fs.Bool("json", false, "with -statedb, -order, -storage, -snapshot or -wire, write the result to -json-out as a committed baseline")
 	jsonOut := fs.String("json-out", "", "output path for -json (default BENCH_statedb.json / BENCH_order.json / BENCH_storage.json / BENCH_snapshot.json / BENCH_wire.json; \"-\" for stdout)")
 	if err := fs.Parse(args); err != nil {
@@ -176,24 +151,12 @@ func run(args []string) error {
 		if err != nil {
 			return err
 		}
-		var codecs []wire.Codec
-		switch *wireCodec {
-		case "both":
-			codecs = []wire.Codec{wire.CodecBinary, wire.CodecJSON}
-		default:
-			c, err := wire.ParseCodec(*wireCodec)
-			if err != nil {
-				return fmt.Errorf("-wire-codec: %w", err)
-			}
-			codecs = []wire.Codec{c}
-		}
-		fmt.Printf("Measuring wire-protocol deployment (%d clients x %d tx, batch %d, codec=%s, tls=%v, large=%v)...\n\n",
-			*wireClients, *wireTxs, *wireBatch, *wireCodec, *wireTLS, *wireLarge)
+		fmt.Printf("Measuring wire-protocol deployment (%d clients x %d tx, batch %d, tls=%v, large=%v)...\n\n",
+			*wireClients, *wireTxs, *wireBatch, *wireTLS, *wireLarge)
 		r, err := perf.MeasureWire(self, perf.WireOptions{
 			Clients:     *wireClients,
 			TxPerClient: *wireTxs,
 			BatchSize:   *wireBatch,
-			Codecs:      codecs,
 			TLS:         *wireTLS,
 			Large:       *wireLarge,
 		})
@@ -209,12 +172,6 @@ func run(args []string) error {
 			if err := writeJSON(out, "BENCH_wire.json"); err != nil {
 				return err
 			}
-		}
-		if *wireGate {
-			if err := wireGateCheck(r, *wireGateSlack); err != nil {
-				return err
-			}
-			fmt.Println("\nwire gate: binary codec is not slower than JSON")
 		}
 		// The wire scenario builds its own processes; skip the Fig. 11 run.
 		return nil

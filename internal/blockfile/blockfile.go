@@ -33,10 +33,12 @@ var ErrCorrupt = errors.New("blockfile: corrupt block file")
 
 // Store is an append-only block file. It implements storage.BlockStore.
 type Store struct {
-	path string
+	path  string
+	fsync bool
 
 	mu       sync.Mutex
 	f        *os.File
+	syncs    uint64 // fsyncs issued by Append
 	height   uint64
 	size     int64 // offset of the end of the last intact record
 	writeErr error // sticky: the store is broken after a failed append
@@ -49,8 +51,10 @@ var _ storage.BlockStore = (*Store)(nil)
 // contents. An incomplete record at the end of the file — the signature
 // of a crash mid-append — is truncated away; corruption anywhere else
 // (bad JSON, broken hash chain, out-of-order numbers) fails with
-// ErrCorrupt.
-func Open(dir string) (*Store, error) {
+// ErrCorrupt. With fsync unset, Append leaves flushing to the OS: the
+// file survives a process crash but not a power loss
+// (storage.Options.NoFsync).
+func Open(dir string, fsync bool) (*Store, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("%w: blockfile: mkdir: %v", storage.ErrIO, err)
 	}
@@ -59,7 +63,7 @@ func Open(dir string) (*Store, error) {
 	if err != nil {
 		return nil, fmt.Errorf("%w: blockfile: open: %v", storage.ErrIO, err)
 	}
-	s := &Store{path: path, f: f}
+	s := &Store{path: path, fsync: fsync, f: f}
 	blocks, size, err := s.scan(true)
 	if err != nil {
 		f.Close()
@@ -96,10 +100,11 @@ func (s *Store) Height() uint64 {
 }
 
 // Append durably appends a block: the call returns only after the
-// record is written and fsynced. Blocks must arrive in order. On a
-// write or sync failure the partial record is rolled back (truncated)
-// and the store goes sticky-broken: every later Append fails until the
-// file is reopened, which re-runs validation.
+// record is written and (unless the store was opened without fsync)
+// fsynced. Blocks must arrive in order. On a write or sync failure the
+// partial record is rolled back (truncated) and the store goes
+// sticky-broken: every later Append fails until the file is reopened,
+// which re-runs validation.
 func (s *Store) Append(b *ledger.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -123,13 +128,23 @@ func (s *Store) Append(b *ledger.Block) error {
 		s.fail(fmt.Errorf("%w: blockfile: write block %d: %v", storage.ErrIO, b.Header.Number, err))
 		return s.writeErr
 	}
-	if err := s.f.Sync(); err != nil {
-		s.fail(fmt.Errorf("%w: blockfile: sync block %d: %v", storage.ErrIO, b.Header.Number, err))
-		return s.writeErr
+	if s.fsync {
+		s.syncs++
+		if err := s.f.Sync(); err != nil {
+			s.fail(fmt.Errorf("%w: blockfile: sync block %d: %v", storage.ErrIO, b.Header.Number, err))
+			return s.writeErr
+		}
 	}
 	s.size += int64(len(buf))
 	s.height++
 	return nil
+}
+
+// Syncs returns how many fsyncs Append has issued.
+func (s *Store) Syncs() uint64 {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.syncs
 }
 
 // fail rolls the file back to the last intact record and records the

@@ -23,7 +23,7 @@ func chain(n int) []*ledger.Block {
 
 func TestOpenTruncatesTornTail(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 	}
 	f.Close()
 
-	s2, err := Open(dir)
+	s2, err := Open(dir, true)
 	if err != nil {
 		t.Fatalf("open with torn tail: %v", err)
 	}
@@ -67,7 +67,7 @@ func TestOpenTruncatesTornTail(t *testing.T) {
 
 func TestOpenRejectsMidFileCorruption(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,14 +87,14 @@ func TestOpenRejectsMidFileCorruption(t *testing.T) {
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) || !errors.Is(err, storage.ErrCorrupt) {
+	if _, err := Open(dir, true); !errors.Is(err, ErrCorrupt) || !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("open with mid-file corruption: got %v, want ErrCorrupt (both sentinels)", err)
 	}
 }
 
 func TestAppendFailureIsStickyAndTyped(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestAppendFailureIsStickyAndTyped(t *testing.T) {
 
 func TestAppendOutOfOrderTyped(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -28,7 +28,7 @@ func testBlocks(n int) []*ledger.Block {
 
 func TestAppendAndReadAll(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestAppendAndReadAll(t *testing.T) {
 
 func TestReopenPreservesHeight(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -80,7 +80,7 @@ func TestReopenPreservesHeight(t *testing.T) {
 	}
 	s.Close()
 
-	s2, err := Open(dir)
+	s2, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,7 @@ func TestReopenPreservesHeight(t *testing.T) {
 }
 
 func TestOutOfOrderAppendRejected(t *testing.T) {
-	s, err := Open(t.TempDir())
+	s, err := Open(t.TempDir(), true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -111,7 +111,7 @@ func TestOutOfOrderAppendRejected(t *testing.T) {
 
 func TestCorruptionDetected(t *testing.T) {
 	dir := t.TempDir()
-	s, err := Open(dir)
+	s, err := Open(dir, true)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +134,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, flipped, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir); !errors.Is(err, ErrCorrupt) {
+	if _, err := Open(dir, true); !errors.Is(err, ErrCorrupt) {
 		t.Fatalf("bit flip: err = %v", err)
 	}
 
@@ -143,7 +143,7 @@ func TestCorruptionDetected(t *testing.T) {
 	if err := os.WriteFile(path, raw[:len(raw)-5], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	s2, err := Open(dir)
+	s2, err := Open(dir, true)
 	if err != nil {
 		t.Fatalf("truncation should be repaired, got err = %v", err)
 	}
@@ -159,7 +159,7 @@ func TestPersistReloadQuick(t *testing.T) {
 	f := func(nBlocks uint8) bool {
 		n := int(nBlocks%12) + 1
 		dir := t.TempDir()
-		s, err := Open(dir)
+		s, err := Open(dir, true)
 		if err != nil {
 			return false
 		}
@@ -170,7 +170,7 @@ func TestPersistReloadQuick(t *testing.T) {
 			}
 		}
 		s.Close()
-		s2, err := Open(dir)
+		s2, err := Open(dir, true)
 		if err != nil {
 			return false
 		}

@@ -155,9 +155,6 @@ const (
 	// counts the events they carried.
 	WireBatchFrames   = "wire_batch_frames"
 	WireBatchedEvents = "wire_batched_events"
-	// WireJSONFallbacks counts payloads that fell back to the JSON codec
-	// on a binary-preferring connection.
-	WireJSONFallbacks = "wire_json_fallbacks"
 )
 
 // WireEncode / WireDecode are the histogram names timing wire payload

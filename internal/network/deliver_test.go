@@ -2,13 +2,12 @@ package network
 
 import (
 	"context"
+	"sync/atomic"
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/deliver"
 	"repro/internal/gateway"
 	"repro/internal/ledger"
-	"repro/internal/peer"
 	"repro/internal/service"
 )
 
@@ -150,29 +149,13 @@ func TestDeliverReplayFromCheckpointAfterRestart(t *testing.T) {
 	n := newTestNet(t)
 	dir := t.TempDir()
 
-	mkPeer := func() *peer.Peer {
-		id, err := n.CA("org2").Issue("peer8.org2", "peer")
-		if err != nil {
-			t.Fatal(err)
+	durable := mkDurablePeer(t, n, dir, "peer8.org2")
+	var replaced atomic.Bool // set once the restarted peer owns the directory
+	n.Orderer.RegisterDelivery(func(b *ledger.Block) {
+		if !replaced.Load() {
+			_ = durable.CommitBlock(b)
 		}
-		p, err := peer.NewPersistent(peer.Config{
-			Identity:   id,
-			Channel:    n.Channel,
-			Gossip:     n.Gossip,
-			Security:   core.OriginalFabric(),
-			PersistDir: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ApproveDefinition(n.Peer("org2").Definition("asset")); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	durable := mkPeer()
-	n.Orderer.RegisterDelivery(func(b *ledger.Block) { _ = durable.CommitBlock(b) })
+	})
 
 	contract := n.Gateway("org1").Network("c1").Contract("asset")
 	ctx := context.Background()
@@ -211,7 +194,12 @@ func TestDeliverReplayFromCheckpointAfterRestart(t *testing.T) {
 
 	// Restart over the same directory and resume from the checkpoint:
 	// block 2 arrives as a store replay, block 3 live.
-	restarted := mkPeer()
+	replaced.Store(true)
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := mkDurablePeer(t, n, dir, "peer8.org2")
+	defer restarted.Close()
 	if err := restarted.Restore(); err != nil {
 		t.Fatal(err)
 	}

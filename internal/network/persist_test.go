@@ -3,7 +3,6 @@ package network
 import (
 	"testing"
 
-	"repro/internal/core"
 	"repro/internal/ledger"
 	"repro/internal/peer"
 )
@@ -16,30 +15,8 @@ func TestPeerRestartFromDisk(t *testing.T) {
 	dir := t.TempDir()
 
 	// A durable org2 peer joins (via manual construction to control
-	// the persist dir), approving definitions and installing chaincode
-	// like the network's own org2 peer.
-	mkPeer := func() *peer.Peer {
-		id, err := n.CA("org2").Issue("peer7.org2", "peer")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := peer.NewPersistent(peer.Config{
-			Identity:   id,
-			Channel:    n.Channel,
-			Gossip:     n.Gossip,
-			Security:   core.OriginalFabric(),
-			PersistDir: dir,
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := p.ApproveDefinition(n.Peer("org2").Definition("asset")); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-
-	durable := mkPeer()
+	// the storage dir), approved like the network's own org2 peer.
+	durable := mkDurablePeer(t, n, dir, "peer7.org2")
 	n.Orderer.RegisterDelivery(func(b *ledger.Block) { _ = durable.CommitBlock(b) })
 
 	cl := n.Gateway("org1")
@@ -56,7 +33,11 @@ func TestPeerRestartFromDisk(t *testing.T) {
 	}
 
 	// "Restart": a brand-new peer object over the same directory.
-	restarted := mkPeer()
+	if err := durable.Close(); err != nil {
+		t.Fatal(err)
+	}
+	restarted := mkDurablePeer(t, n, dir, "peer7.org2")
+	defer restarted.Close()
 	if err := restarted.Restore(); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"os"
+	"strings"
 	"testing"
 	"time"
 
@@ -21,6 +22,7 @@ import (
 // this test binary with PDC_WIRE_ROLE set, and the child becomes a
 // peer/orderer/gateway process instead of running the tests.
 func TestMain(m *testing.M) {
+	deafen()
 	if handled, err := node.RunRoleFromEnv(); handled {
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "node role:", err)
@@ -30,6 +32,28 @@ func TestMain(m *testing.M) {
 	}
 	os.Exit(m.Run())
 }
+
+// envDeaf names (comma-separated) the roles TestClusterStopSharesOneGrace
+// makes unresponsive.
+const envDeaf = "NODE_TEST_DEAF_ROLES"
+
+// deafen makes this process, if it is a role named in envDeaf, ignore its
+// launcher closing stdin — the only way Stop asks a role to exit — by
+// swapping stdin for a pipe whose write end stays open (held in
+// deafStdin so no finalizer closes it).
+func deafen() {
+	for _, name := range strings.Split(os.Getenv(envDeaf), ",") {
+		if name != "" && name == os.Getenv(node.EnvName) {
+			r, w, err := os.Pipe()
+			if err != nil {
+				panic(err)
+			}
+			os.Stdin, deafStdin = r, w
+		}
+	}
+}
+
+var deafStdin *os.File
 
 // clusterConfig is the test topology: three orgs, one peer each, the
 // "asset" chaincode with a private collection shared by org1 and org2.
@@ -413,4 +437,25 @@ func TestClusterTLS(t *testing.T) {
 		t.Fatalf("commit over TLS: %v", res.Code)
 	}
 	waitConverged(t, cl, 1, nil)
+}
+
+// TestClusterStopSharesOneGrace: Stop asks every role to exit before it
+// waits on any, so two roles that ignore the request cost one grace
+// period (3 s) together, not one each.
+func TestClusterStopSharesOneGrace(t *testing.T) {
+	t.Setenv(envDeaf, "peer0.org2,peer0.org3")
+	cl := launchTestCluster(t, false)
+	start := time.Now()
+	cl.Stop()
+	if took := time.Since(start); took > 5*time.Second {
+		t.Fatalf("Stop took %v with two unresponsive roles; want one shared 3s grace", took)
+	}
+}
+
+// TestLaunchRejectsUnknownCodec: LaunchOptions.Codec is single-valued.
+func TestLaunchRejectsUnknownCodec(t *testing.T) {
+	_, err := node.LaunchCluster(clusterConfig(), node.LaunchOptions{Dir: t.TempDir(), Codec: "json"})
+	if err == nil {
+		t.Fatal("LaunchCluster accepted codec \"json\"")
+	}
 }

@@ -23,20 +23,9 @@ type proc struct {
 	addr   string
 }
 
-// stop asks the child to exit by closing its stdin, escalating to kill.
-func (p *proc) stop() {
-	if p.stdin != nil {
-		p.stdin.Close()
-	}
-	done := make(chan struct{})
-	go func() { p.cmd.Wait(); close(done) }()
-	select {
-	case <-done:
-	case <-time.After(3 * time.Second):
-		p.cmd.Process.Kill()
-		<-done
-	}
-}
+// stopGrace is how long Stop waits, for all roles together, between
+// closing their stdins and killing whichever are still running.
+const stopGrace = 3 * time.Second
 
 func (p *proc) waitReady() error {
 	addr, err := WaitReady(p.stdout)
@@ -58,8 +47,9 @@ type LaunchOptions struct {
 	Dir string
 	// TLS enables pinned-key TLS between every process.
 	TLS bool
-	// Codec selects the wire payload encoding every role (and every
-	// cluster dial) uses; empty selects the default (binary).
+	// Codec is single-valued (empty or wire.CodecBinary; anything else
+	// is rejected). It is retained only for benchmark/sut.go, which sets
+	// it and may not be edited; it selects nothing.
 	Codec wire.Codec
 	// Stderr, when non-nil, receives every child's stderr.
 	Stderr io.Writer
@@ -81,7 +71,6 @@ type Cluster struct {
 	PeerAddrs   map[string]string
 	procs       []*proc
 	tls         bool
-	codec       wire.Codec
 
 	// Spawn context kept for JoinPeer.
 	self         string
@@ -126,7 +115,7 @@ func (cl *Cluster) DialOrderer() (*wire.OrdererClient, error) {
 func (cl *Cluster) PeerNames() []string { return sortedNames(cl.PeerAddrs) }
 
 func (cl *Cluster) dial(addr, serverName string) (*wire.Client, error) {
-	copts := wire.ClientOptions{Codec: cl.codec}
+	copts := wire.ClientOptions{}
 	if cl.tls {
 		id, err := cl.Material.Identity(cl.GatewayName)
 		if err != nil {
@@ -147,6 +136,9 @@ func (cl *Cluster) dial(addr, serverName string) (*wire.Client, error) {
 func LaunchCluster(cfg *netconfig.Config, opts LaunchOptions) (*Cluster, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("node: LaunchCluster needs a Dir")
+	}
+	if opts.Codec != "" && opts.Codec != wire.CodecBinary {
+		return nil, fmt.Errorf("node: unknown wire codec %q (the only encoding is %q)", opts.Codec, wire.CodecBinary)
 	}
 	self := opts.Self
 	if self == "" {
@@ -237,7 +229,6 @@ func LaunchCluster(cfg *netconfig.Config, opts LaunchOptions) (*Cluster, error) 
 		GatewayAddr:  gatewayAddr,
 		PeerAddrs:    peerAddrs,
 		tls:          tlsOn,
-		codec:        opts.Codec,
 		self:         self,
 		configPath:   configPath,
 		materialPath: materialPath,
@@ -284,9 +275,6 @@ func (cl *Cluster) spawn(role, name, listen string, peerAddrs map[string]string,
 	}
 	if cl.tls {
 		env[EnvTLS] = "1"
-	}
-	if cl.codec != "" {
-		env[EnvCodec] = string(cl.codec)
 	}
 	if snapshotFrom != "" {
 		env[EnvSnapshotFrom] = snapshotFrom
@@ -338,11 +326,27 @@ func (cl *Cluster) JoinPeer(name, snapshotFrom string) error {
 	return nil
 }
 
-// Stop tears the cluster down, gateway first (it holds connections into
-// the other processes).
+// Stop tears the cluster down the way LaunchCluster brings it up: every
+// role is asked to exit (its stdin closes) before any is waited on, all
+// share one stopGrace, and whichever are still running then are killed.
 func (cl *Cluster) Stop() {
-	for i := len(cl.procs) - 1; i >= 0; i-- {
-		cl.procs[i].stop()
+	exited := make([]chan struct{}, len(cl.procs))
+	for i, p := range cl.procs {
+		p.stdin.Close()
+		exited[i] = make(chan struct{})
+		go func() { p.cmd.Wait(); close(exited[i]) }()
+	}
+	grace := time.After(stopGrace)
+	for i := range cl.procs {
+		select {
+		case <-exited[i]:
+		case <-grace:
+			for _, p := range cl.procs[i:] {
+				p.cmd.Process.Kill()
+			}
+			grace = nil // spent; the killed roles are only reaped from here on
+			<-exited[i]
+		}
 	}
 	cl.procs = nil
 }

@@ -76,10 +76,6 @@ type Options struct {
 	PeerAddrs map[string]string
 	// TLS enables pinned-key TLS on the server and on every dial.
 	TLS bool
-	// Codec selects the wire payload encoding for every connection this
-	// role dials (servers always mirror the caller's codec). Empty
-	// selects the default (binary).
-	Codec wire.Codec
 	// SnapshotFrom names the peer (a key of PeerAddrs) an empty joining
 	// peer fetches a bootstrap snapshot from when the orderer's retained
 	// log no longer reaches back to genesis (orderer.ErrCompacted).
@@ -176,7 +172,7 @@ func newNode(role string, opts Options) (*Node, *identity.Identity, context.Cont
 // clientOptions builds the dial options for reaching serverName,
 // pinning its key when TLS is on.
 func (n *Node) clientOptions(id *identity.Identity, serverName string) (wire.ClientOptions, error) {
-	copts := wire.ClientOptions{DialTimeout: 2 * time.Second, Codec: n.opts.Codec}
+	copts := wire.ClientOptions{DialTimeout: 2 * time.Second}
 	if n.opts.TLS {
 		key, err := n.opts.Material.ServerKey(serverName)
 		if err != nil {

@@ -11,7 +11,6 @@ import (
 	"syscall"
 
 	"repro/internal/netconfig"
-	"repro/internal/wire"
 )
 
 // Environment variables of the role runner. The cluster integration
@@ -28,7 +27,6 @@ const (
 	EnvOrderer  = "PDC_WIRE_ORDERER"  // orderer address (peer, gateway)
 	EnvPeers    = "PDC_WIRE_PEERS"    // "name=addr,name=addr"
 	EnvTLS      = "PDC_WIRE_TLS"      // "1" enables pinned-key TLS
-	EnvCodec    = "PDC_WIRE_CODEC"    // "binary" (default) | "json"
 	// EnvSnapshotFrom names the peer a cold-joining peer fetches a
 	// bootstrap snapshot from when the orderer log is compacted.
 	EnvSnapshotFrom = "PDC_WIRE_SNAPSHOT_FROM"
@@ -60,10 +58,6 @@ func RunRoleFromEnv() (bool, error) {
 	if err != nil {
 		return true, err
 	}
-	codec, err := wire.ParseCodec(os.Getenv(EnvCodec))
-	if err != nil {
-		return true, err
-	}
 	opts := Options{
 		Config:       cfg,
 		Material:     material,
@@ -72,7 +66,6 @@ func RunRoleFromEnv() (bool, error) {
 		OrdererAddr:  os.Getenv(EnvOrderer),
 		PeerAddrs:    peerAddrs,
 		TLS:          os.Getenv(EnvTLS) == "1",
-		Codec:        codec,
 		SnapshotFrom: os.Getenv(EnvSnapshotFrom),
 		Log:          os.Stderr,
 	}

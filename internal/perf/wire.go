@@ -18,14 +18,12 @@ import (
 // WireCell is one scenario of the transport comparison: the same
 // closed-loop burst measured either through in-process gateways or
 // through wire-protocol clients talking to a cluster of separate OS
-// processes, under one payload codec.
+// processes.
 type WireCell struct {
-	// Scenario is "in-process" for the baseline, or "wire-<codec>"
-	// with "-tls"/"-large" suffixes for the deployment variants.
+	// Scenario is "in-process" for the baseline, "wire-binary" for the
+	// plaintext deployment, or "wire-binary-tls" / "wire-large" for its
+	// variants.
 	Scenario string `json:"scenario"`
-	// Codec is the wire payload encoding ("binary" or "json"); empty
-	// for the in-process baseline, which frames nothing.
-	Codec string `json:"codec,omitempty"`
 	// TLS marks cells whose cluster ran pinned-key TLS.
 	TLS bool `json:"tls,omitempty"`
 	// Mix is the loadgen workload driving the cell.
@@ -58,12 +56,9 @@ type WireOptions struct {
 	Clients     int
 	TxPerClient int
 	BatchSize   int
-	// Codecs lists the payload codecs to measure over plaintext TCP
-	// (one cluster per codec). Empty defaults to binary then JSON.
-	Codecs []wire.Codec
-	// TLS adds a binary-codec cell over pinned-key TLS.
+	// TLS adds a cell over pinned-key TLS.
 	TLS bool
-	// Large adds a binary-codec cell running MixLarge (16 KiB values),
+	// Large adds a cell running MixLarge (16 KiB values),
 	// stressing payload size rather than round-trip count.
 	Large bool
 }
@@ -115,14 +110,11 @@ func wireTopology(batch int) *netconfig.Config {
 // the TCP wire protocol against clusters of real OS processes launched
 // from self (the running binary re-executed with PDC_WIRE_ROLE set —
 // the caller's main must route through node.RunRoleFromEnv). Each wire
-// cell gets its own cluster so the chosen codec and TLS mode govern
-// every hop, client→gateway and gateway→peer→orderer alike. The gap
+// cell gets its own cluster so the chosen TLS mode governs every hop,
+// client→gateway and gateway→peer→orderer alike. The gap
 // between cells is the cost of frames, encoding, TCP and process
 // isolation on the submit→commit path.
 func MeasureWire(self string, o WireOptions) (WireResult, error) {
-	if len(o.Codecs) == 0 {
-		o.Codecs = []wire.Codec{wire.CodecBinary, wire.CodecJSON}
-	}
 	res := WireResult{Clients: o.Clients, TxPerClient: o.TxPerClient, BatchSize: o.BatchSize}
 	zipf := loadgen.RunOptions{Mix: loadgen.MixZipf, TxPerClient: o.TxPerClient, Keys: 64}
 
@@ -144,15 +136,13 @@ func MeasureWire(self string, o WireOptions) (WireResult, error) {
 		Scenario: "in-process", Mix: loadgen.MixZipf, Processes: 1, PointJSON: pt.JSON(),
 	})
 
-	for _, codec := range o.Codecs {
-		cell, err := runWireCell(self, "wire-"+string(codec), codec, false, o, zipf)
-		if err != nil {
-			return WireResult{}, err
-		}
-		res.Cells = append(res.Cells, cell)
+	cell, err := runWireCell(self, "wire-binary", false, o, zipf)
+	if err != nil {
+		return WireResult{}, err
 	}
+	res.Cells = append(res.Cells, cell)
 	if o.TLS {
-		cell, err := runWireCell(self, "wire-binary-tls", wire.CodecBinary, true, o, zipf)
+		cell, err := runWireCell(self, "wire-binary-tls", true, o, zipf)
 		if err != nil {
 			return WireResult{}, err
 		}
@@ -161,7 +151,7 @@ func MeasureWire(self string, o WireOptions) (WireResult, error) {
 	if o.Large {
 		large := zipf
 		large.Mix = loadgen.MixLarge
-		cell, err := runWireCell(self, "wire-large", wire.CodecBinary, false, o, large)
+		cell, err := runWireCell(self, "wire-large", false, o, large)
 		if err != nil {
 			return WireResult{}, err
 		}
@@ -191,10 +181,10 @@ func fleetStats(gwcs []*wire.GatewayClient) map[string]wire.RPCStat {
 	return out
 }
 
-// runWireCell launches a fresh cluster with the given codec and TLS
-// mode, drives the burst through a fleet of wire gateway clients, and
-// folds the fleet's per-RPC byte counters into the cell.
-func runWireCell(self, scenario string, codec wire.Codec, tlsOn bool, o WireOptions, opts loadgen.RunOptions) (WireCell, error) {
+// runWireCell launches a fresh cluster with the given TLS mode, drives
+// the burst through a fleet of wire gateway clients, and folds the
+// fleet's per-RPC byte counters into the cell.
+func runWireCell(self, scenario string, tlsOn bool, o WireOptions, opts loadgen.RunOptions) (WireCell, error) {
 	cfg := wireTopology(o.BatchSize)
 	if err := cfg.Validate(); err != nil {
 		return WireCell{}, err
@@ -204,7 +194,7 @@ func runWireCell(self, scenario string, codec wire.Codec, tlsOn bool, o WireOpti
 		return WireCell{}, err
 	}
 	defer os.RemoveAll(dir)
-	cl, err := node.LaunchCluster(cfg, node.LaunchOptions{Self: self, Dir: dir, TLS: tlsOn, Codec: codec})
+	cl, err := node.LaunchCluster(cfg, node.LaunchOptions{Self: self, Dir: dir, TLS: tlsOn})
 	if err != nil {
 		return WireCell{}, fmt.Errorf("perf: launch cluster (%s): %w", scenario, err)
 	}
@@ -252,7 +242,6 @@ func runWireCell(self, scenario string, codec wire.Codec, tlsOn bool, o WireOpti
 	// orderer + peers + gateway processes serve the wire cell.
 	return WireCell{
 		Scenario:  scenario,
-		Codec:     string(codec),
 		TLS:       tlsOn,
 		Mix:       opts.Mix,
 		Processes: len(cl.PeerNames()) + 2,
@@ -277,12 +266,12 @@ func RenderWire(res WireResult) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Transport comparison: %d clients x %d tx, batch %d\n\n",
 		res.Clients, res.TxPerClient, res.BatchSize)
-	fmt.Fprintf(&b, "%-18s%-8s%-6s%-6s%-12s%-10s%-10s%-10s%-10s%-10s\n",
-		"scenario", "codec", "tls", "procs", "achieved", "invalid", "p50ms", "p95ms", "p99ms", "B/tx")
+	fmt.Fprintf(&b, "%-18s%-6s%-6s%-12s%-10s%-10s%-10s%-10s%-10s\n",
+		"scenario", "tls", "procs", "achieved", "invalid", "p50ms", "p95ms", "p99ms", "B/tx")
 	base := res.Cell("in-process")
 	for _, c := range res.Cells {
-		fmt.Fprintf(&b, "%-18s%-8s%-6v%-6d%-12.1f%-10d%-10.2f%-10.2f%-10.2f%-10.0f\n",
-			c.Scenario, c.Codec, c.TLS, c.Processes, c.AchievedTPS, c.Invalid,
+		fmt.Fprintf(&b, "%-18s%-6v%-6d%-12.1f%-10d%-10.2f%-10.2f%-10.2f%-10.0f\n",
+			c.Scenario, c.TLS, c.Processes, c.AchievedTPS, c.Invalid,
 			c.P50Ms, c.P95Ms, c.P99Ms, c.BytesPerTx())
 	}
 	if base != nil && base.P50Ms > 0 {

@@ -38,7 +38,7 @@ func Open(opts storage.Options) (*Backend, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("durable backend requires a directory (storage dir not configured)")
 	}
-	blocks, err := blockfile.Open(filepath.Join(opts.Dir, "blocks"))
+	blocks, err := blockfile.Open(filepath.Join(opts.Dir, "blocks"), !opts.NoFsync)
 	if err != nil {
 		return nil, fmt.Errorf("durable: blocks: %w", err)
 	}

@@ -438,6 +438,32 @@ func TestDurableBlocksThroughBackend(t *testing.T) {
 	}
 }
 
+// TestDurableNoFsyncCoversBlockFile: storage.Options.NoFsync reaches the
+// block file as it does the state and private logs — a no-fsync backend
+// issues no fsync per appended block, the default exactly one.
+func TestDurableNoFsyncCoversBlockFile(t *testing.T) {
+	for _, noFsync := range []bool{false, true} {
+		b := openTest(t, t.TempDir(), storage.Options{NoFsync: noFsync})
+		const blocks = 3
+		var prev []byte
+		for i := uint64(0); i < blocks; i++ {
+			blk := ledger.NewBlock(i, prev, nil)
+			if err := b.Blocks().Append(blk); err != nil {
+				t.Fatal(err)
+			}
+			prev = blk.Hash()
+		}
+		want := uint64(blocks)
+		if noFsync {
+			want = 0
+		}
+		if got := b.blocks.Syncs(); got != want {
+			t.Errorf("NoFsync=%v: %d block-file fsyncs for %d blocks, want %d", noFsync, got, blocks, want)
+		}
+		b.Close()
+	}
+}
+
 func TestDurableRequiresDir(t *testing.T) {
 	if _, err := Open(storage.Options{}); err == nil {
 		t.Fatal("Open without a directory should fail")

@@ -283,13 +283,18 @@ func TestPipelineMetrics(t *testing.T) {
 			t.Errorf("histogram %s missing or empty", name)
 		}
 	}
-	// 8 endorsements from 2 distinct endorsers: the first verification
-	// of each certificate misses, every later one hits at least the
-	// certificate cache.
-	if hits := p.counters.Get(metrics.VerifyCacheHits); hits < 6 {
-		t.Errorf("verify cache hits = %d, want >= 6", hits)
+	// 8 endorsement verifications over 2 distinct certificates, each
+	// counted once as a hit or a miss. A certificate's first verification
+	// misses; the cache does not coalesce in-flight verifications, so each
+	// of the 2 workers may miss each certificate once before either
+	// stores it — and no more than that.
+	const lookups, certs, workers = 8, 2, 2
+	hits := p.counters.Get(metrics.VerifyCacheHits)
+	misses := p.counters.Get(metrics.VerifyCacheMisses)
+	if hits+misses != lookups {
+		t.Errorf("verify cache hits %d + misses %d, want %d lookups", hits, misses, lookups)
 	}
-	if misses := p.counters.Get(metrics.VerifyCacheMisses); misses == 0 || misses > 2 {
-		t.Errorf("verify cache misses = %d, want 1..2", misses)
+	if misses < certs || misses > certs*workers {
+		t.Errorf("verify cache misses = %d, want %d..%d", misses, certs, certs*workers)
 	}
 }

@@ -2,7 +2,6 @@ package wire
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -10,57 +9,21 @@ import (
 	"time"
 )
 
-// Codec selection. The frame header's version byte doubles as the
-// payload codec identifier, which is the whole negotiation protocol:
-// every frame declares how its payload is encoded, a receiver decodes
-// by that byte, and a responder mirrors the codec of the frame it is
-// answering. Version 1 is the original JSON encoding and remains fully
-// supported — it is the fallback for any body type the binary codec
-// does not know, and the debug/fuzz format. Version 2 is the
-// hand-rolled length-delimited binary codec for the hot payload types
-// (transactions, blocks, rwsets, endorse/submit/status bodies).
-type codecID byte
-
-const (
-	codecJSON   codecID = verJSON
-	codecBinary codecID = verBinary
-)
-
-// Codec names a payload encoding in configuration (ClientOptions,
-// node options, PDC_WIRE_CODEC).
+// Codec names the wire payload encoding. There is exactly one; the type
+// and its constant are retained only because benchmark/sut.go passes
+// LaunchOptions{Codec: wire.CodecBinary} and that directory is frozen.
 type Codec string
 
-const (
-	// CodecBinary selects the length-delimited binary codec (the
-	// default): hot payload types encode positionally, everything else
-	// falls back to JSON per frame.
-	CodecBinary Codec = "binary"
-	// CodecJSON forces every frame to the JSON encoding — the debug
-	// format, and the wire format of PR 8 clients.
-	CodecJSON Codec = "json"
-)
+// CodecBinary is the positional binary encoding — the only value.
+const CodecBinary Codec = "binary"
 
-// ParseCodec maps a configuration string onto a Codec; empty selects
-// the default (binary).
-func ParseCodec(s string) (Codec, error) {
-	switch Codec(s) {
-	case "", CodecBinary:
-		return CodecBinary, nil
-	case CodecJSON:
-		return CodecJSON, nil
-	}
-	return "", fmt.Errorf("wire: unknown codec %q (want %q or %q)", s, CodecBinary, CodecJSON)
-}
+// ErrNoEncoding is returned when a body's type is absent from the
+// catalogue in codec_types.go — a programming error surfaced to the
+// caller, never a change of format.
+var ErrNoEncoding = errors.New("wire: no binary encoding")
 
-func (c Codec) id() codecID {
-	if c == CodecJSON {
-		return codecJSON
-	}
-	return codecBinary
-}
-
-// errBinaryCodec is the typed root of binary decode failures; framing
-// treats it like a JSON parse error (the connection is poisoned).
+// errBinaryCodec is the typed root of binary decode failures; in an
+// envelope it poisons the connection.
 var errBinaryCodec = errors.New("wire: binary codec")
 
 // ---------------------------------------------------------------------
@@ -117,62 +80,31 @@ func putBuf(b []byte) {
 // ---------------------------------------------------------------------
 // Payload marshaling.
 
-// marshalBody encodes an RPC body with the preferred codec. A type the
-// binary codec has no encoding for falls back to JSON — the returned
-// codec says which encoding won, and the caller must tag the whole
-// frame with it (envelope and body always share one codec). The buffer
-// may be pooled; release it with putBuf when done.
-func marshalBody(prefer codecID, v any) ([]byte, codecID, error) {
+// marshalBody encodes a frame envelope or an RPC body; a nil body
+// encodes as no bytes. The buffer may be pooled; release it with putBuf
+// when done.
+func marshalBody(v any) ([]byte, error) {
 	if v == nil {
-		return nil, prefer, nil
+		return nil, nil
 	}
 	start := time.Now()
-	if prefer == codecBinary {
-		if data, ok := binMarshal(v); ok {
-			observeEncode(start)
-			return data, codecBinary, nil
-		}
-		stats.jsonFallbacks.Add(1)
-	}
-	data, err := json.Marshal(v)
+	data, ok := binMarshal(v)
 	observeEncode(start)
-	if err != nil {
-		return nil, codecJSON, err
+	if !ok {
+		return nil, fmt.Errorf("%w for %T", ErrNoEncoding, v)
 	}
-	return data, codecJSON, nil
+	return data, nil
 }
 
-// marshalEnvelope encodes a frame envelope (request/response/event)
-// with the given codec. Envelopes are always binary-encodable, so no
-// fallback happens here — the codec was already fixed by marshalBody.
-func marshalEnvelope(c codecID, v any) ([]byte, error) {
-	start := time.Now()
-	defer func() { observeEncode(start) }()
-	if c == codecBinary {
-		if data, ok := binMarshal(v); ok {
-			return data, nil
-		}
-	}
-	return json.Marshal(v)
-}
-
-// unmarshalBody decodes an RPC body by the frame's codec.
-func unmarshalBody(c codecID, data []byte, v any) error {
+// unmarshalBody decodes a frame envelope or an RPC body.
+func unmarshalBody(data []byte, v any) error {
 	start := time.Now()
 	defer func() { observeDecode(start) }()
-	if c == codecBinary {
-		ok, err := binUnmarshal(data, v)
-		if ok {
-			return err
-		}
+	ok, err := binUnmarshal(data, v)
+	if !ok {
 		return fmt.Errorf("%w: no binary decoding for %T", errBinaryCodec, v)
 	}
-	return json.Unmarshal(data, v)
-}
-
-// unmarshalEnvelope decodes a frame envelope by the frame's codec.
-func unmarshalEnvelope(c codecID, data []byte, v any) error {
-	return unmarshalBody(c, data, v)
+	return err
 }
 
 // ---------------------------------------------------------------------
@@ -182,9 +114,8 @@ func unmarshalEnvelope(c codecID, data []byte, v any) error {
 // fixed order with no field names or tags. Integers are varints
 // (unsigned LEB128; signed values zigzag). Strings are length-prefixed.
 // Byte slices and collections use a nil-aware length: 0 encodes nil,
-// n+1 encodes n elements — mirroring JSON's null-vs-[] distinction so
-// both codecs round-trip the same struct to the same struct. Pointers
-// carry a one-byte presence marker.
+// n+1 encodes n elements, so nil and empty round-trip as themselves.
+// Pointers carry a one-byte presence marker.
 
 func appendUvarint(b []byte, x uint64) []byte { return binary.AppendUvarint(b, x) }
 
@@ -227,8 +158,8 @@ func appendStrings(b []byte, ss []string) []byte {
 	return b
 }
 
-// appendByteMap writes a map[string][]byte with keys in sorted order,
-// matching JSON's deterministic map-key ordering.
+// appendByteMap writes a map[string][]byte with keys in sorted order, so
+// the encoding of a value is deterministic.
 func appendByteMap(b []byte, m map[string][]byte) []byte {
 	b = appendCount(b, len(m), m == nil)
 	if len(m) == 0 {
@@ -250,7 +181,10 @@ func appendByteMap(b []byte, m map[string][]byte) []byte {
 // after the first failure every read returns a zero value, so decoders
 // read straight through and check err once. All lengths are
 // bounds-checked against the remaining input before any allocation, so
-// corrupt (or fuzzed) input cannot force an oversized allocation.
+// corrupt (or fuzzed) input cannot force an oversized allocation. The
+// encoding is canonical — a value has exactly one encoding — so input
+// the encoder could not have produced (padded varints, unsorted map
+// keys, trailing bytes) is rejected rather than normalized.
 type binReader struct {
 	b   []byte
 	off int
@@ -278,7 +212,7 @@ func (r *binReader) uvarint() uint64 {
 		return 0
 	}
 	v, n := binary.Uvarint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || padded(r.b[r.off:r.off+n]) {
 		r.fail("uvarint")
 		return 0
 	}
@@ -291,13 +225,16 @@ func (r *binReader) varint() int64 {
 		return 0
 	}
 	v, n := binary.Varint(r.b[r.off:])
-	if n <= 0 {
+	if n <= 0 || padded(r.b[r.off:r.off+n]) {
 		r.fail("varint")
 		return 0
 	}
 	r.off += n
 	return v
 }
+
+// padded reports a varint with a redundant trailing zero group.
+func padded(enc []byte) bool { return len(enc) > 1 && enc[len(enc)-1] == 0 }
 
 func (r *binReader) bool() bool {
 	if r.err != nil {
@@ -351,7 +288,9 @@ func (r *binReader) byteSlice() []byte {
 		r.fail("bytes")
 		return nil
 	}
-	return append([]byte(nil), r.take(int(n))...)
+	out := make([]byte, n) // non-nil even when empty: nil is encoded as 0
+	copy(out, r.take(int(n)))
+	return out
 }
 
 // byteSliceAlias reads a nil-aware byte slice without copying; only the
@@ -407,19 +346,24 @@ func (r *binReader) byteMap() map[string][]byte {
 		return nil
 	}
 	out := make(map[string][]byte, n)
+	prev := ""
 	for i := 0; i < n; i++ {
 		k := r.str()
 		v := r.byteSlice()
+		if i > 0 && k <= prev {
+			r.fail("map key order")
+		}
 		if r.err != nil {
 			return nil
 		}
 		out[k] = v
+		prev = k
 	}
 	return out
 }
 
 // done finishes a decode: any sticky error, or trailing garbage, fails
-// it — like framing, the binary encoding is canonical.
+// it.
 func (r *binReader) done() error {
 	if r.err != nil {
 		return r.err

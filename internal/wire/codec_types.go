@@ -13,9 +13,8 @@ import (
 // This file is the binary codec's type catalogue: positional
 // encoders/decoders for the frame envelopes and every hot RPC body.
 // Field order is the format — docs/WIRE.md documents each layout. A
-// type absent from binMarshal's switch transparently travels as JSON
-// (see marshalBody), so adding a type here is an optimization, never a
-// compatibility requirement.
+// type absent from binMarshal's switch cannot cross the wire:
+// marshalBody fails it with ErrNoEncoding.
 
 // binMarshal encodes v into a pooled buffer. ok reports whether the
 // binary codec knows v's type.
@@ -74,7 +73,7 @@ func binMarshal(v any) (data []byte, ok bool) {
 // binUnmarshal decodes data into v. ok reports whether the binary codec
 // knows v's type; when ok, err is the decode outcome. Decoding into a
 // value target from a nil (presence-0) encoding leaves the target's
-// zero value, mirroring json.Unmarshal of "null".
+// zero value.
 func binUnmarshal(data []byte, v any) (ok bool, err error) {
 	r := &binReader{b: data}
 	switch t := v.(type) {
@@ -472,7 +471,11 @@ func readProposalResponse(r *binReader) *ledger.ProposalResponse {
 	v := &ledger.ProposalResponse{}
 	v.Payload = r.byteSlice()
 	v.PlainPayload = r.byteSlice()
-	v.Response.Status = int32(r.varint())
+	status := r.varint()
+	if status != int64(int32(status)) {
+		r.fail("response status")
+	}
+	v.Response.Status = int32(status)
 	v.Response.Message = r.str()
 	v.Response.Payload = r.byteSlice()
 	v.Endorsement.Endorser = r.byteSlice()
@@ -516,7 +519,7 @@ func readCollPvtRWSet(r *binReader) rwset.CollPvtRWSet {
 }
 
 // appCollPvtRWSetPtr adds the presence marker peer.pvt needs: "no such
-// private data" travels as nil (JSON null).
+// private data" travels as nil.
 func appCollPvtRWSetPtr(b []byte, v *rwset.CollPvtRWSet) []byte {
 	b = appPresence(b, v != nil)
 	if v == nil {

@@ -2,53 +2,20 @@ package wire
 
 import (
 	"bytes"
-	"encoding/json"
 	"errors"
 	"io"
-	"reflect"
 	"testing"
-	"time"
-	"unicode/utf8"
 
 	"repro/internal/deliver"
-	"repro/internal/ledger"
-	"repro/internal/rwset"
-	"repro/internal/service"
-	"repro/internal/statedb"
 )
 
-// rpcSeedPayloads serializes one instance of every RPC body in the
-// catalogue, so the fuzzer starts from realistic protocol traffic
-// rather than random JSON.
-func rpcSeedPayloads(t interface{ Fatal(...any) }) [][]byte {
-	marshal := func(v any) []byte {
-		b, err := json.Marshal(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return b
-	}
-	prop := &ledger.Proposal{TxID: "tx1", Chaincode: "asset", Function: "set", Args: []string{"k", "v"}}
-	bodies := []any{
-		&request{Method: "peer.endorse", Body: marshal(&endorseRequest{Proposal: prop, Transient: map[string][]byte{"p": []byte("x")}})},
-		&request{Method: "peer.subscribe", Body: marshal(&subscribeRequest{From: 3})},
-		&request{Method: "peer.pvt", Body: marshal(&pvtRequest{TxID: "tx1", Collection: "pdc1"})},
-		&request{Method: "peer.pvtpush", Body: marshal(&rwset.TxPvtRWSet{TxID: "tx1", CollSets: []rwset.CollPvtRWSet{{Collection: "pdc1", Writes: []rwset.KVWrite{{Key: "k", Value: []byte("v")}}}}})},
-		&request{Method: "peer.info"},
-		&request{Method: "order.submit", Body: marshal(&orderRequest{Tx: []byte(`{"tx_id":"tx1"}`)})},
-		&request{Method: "order.inpending", Body: marshal(&txIDRequest{TxID: "tx1"})},
-		&request{Method: "order.blocks", Body: marshal(&blocksRequest{From: 0})},
-		&request{Method: "gw.submit", Body: marshal(service.NewInvoke("asset", "set", "k", "v"))},
-		&request{Method: "gw.status", Body: marshal(&handleRequest{Handle: 7})},
-		&response{Body: marshal(&infoResponse{Name: "peer0.org1", Org: "org1", Channel: "c1", Height: 4, StateHash: "aa"})},
-		&response{More: true},
-		&response{Err: &WireError{Code: codeOverloaded, Message: "shed", RetryAfterMs: 250}},
-		&event{Block: &deliver.BlockEvent{Number: 9}},
-		&event{Status: &deliver.TxStatusEvent{TxID: "tx1", BlockNum: 9}},
-	}
-	out := make([][]byte, 0, len(bodies))
-	for _, b := range bodies {
-		out = append(out, marshal(b))
+// sampleEncodings returns the binary encoding of every value in
+// codecSampleBodies, so the fuzzers start from realistic protocol
+// traffic rather than random bytes.
+func sampleEncodings(t testing.TB) [][]byte {
+	var out [][]byte
+	for _, v := range codecSampleBodies() {
+		out = append(out, envelope(t, v))
 	}
 	return out
 }
@@ -60,7 +27,7 @@ func rpcSeedPayloads(t interface{ Fatal(...any) }) [][]byte {
 // must re-encode byte-identically.
 func FuzzWireFrame(f *testing.F) {
 	types := []byte{ftRequest, ftResponse, ftEvent, ftCancel}
-	for i, payload := range rpcSeedPayloads(f) {
+	for i, payload := range sampleEncodings(f) {
 		encoded := appendFrame(nil, frame{Type: types[i%len(types)], Stream: uint64(i), Payload: payload})
 		f.Add(encoded)
 		// Seed a truncation and a bit flip of each, so the interesting
@@ -70,33 +37,18 @@ func FuzzWireFrame(f *testing.F) {
 		flipped[i%len(flipped)] ^= 0x40
 		f.Add(flipped)
 	}
-	// Binary-codec frames: the same traffic the default codec produces,
-	// plus a hand-built multi-event batch, so the fuzzer explores the
-	// verBinary header path and the ftEvents frame type from generation
-	// zero.
-	for i, body := range []any{
-		&pvtRequest{TxID: "tx1", Collection: "pdc1"},
-		&infoResponse{Name: "peer0.org1", Org: "org1", Channel: "c1", Height: 4, StateHash: "aa"},
-		&rwset.TxPvtRWSet{TxID: "tx1", CollSets: []rwset.CollPvtRWSet{{Collection: "pdc1", Writes: []rwset.KVWrite{{Key: "k", Value: []byte("v")}}}}},
-		&event{Status: &deliver.TxStatusEvent{TxID: "tx1", BlockNum: 9}},
-	} {
-		bin, ok := binMarshal(body)
-		if !ok {
-			f.Fatal("binary seed type has no binary codec")
-		}
-		f.Add(appendFrame(nil, frame{Type: types[i%len(types)], Codec: codecBinary, Stream: uint64(i), Payload: bin}))
+	// A hand-built multi-event batch, so the fuzzer explores the ftEvents
+	// frame type from generation zero.
+	batch := envelope(f, &event{Block: &deliver.BlockEvent{Number: 9}})
+	payload := appendUvarint(nil, 2)
+	for i := 0; i < 2; i++ {
+		payload = appendUvarint(payload, uint64(len(batch)))
+		payload = append(payload, batch...)
 	}
-	if batch, err := marshalEnvelope(codecBinary, &event{Block: &deliver.BlockEvent{Number: 9}}); err == nil {
-		payload := appendUvarint(nil, 2)
-		for i := 0; i < 2; i++ {
-			payload = appendUvarint(payload, uint64(len(batch)))
-			payload = append(payload, batch...)
-		}
-		f.Add(appendFrame(nil, frame{Type: ftEvents, Codec: codecBinary, Stream: 5, Payload: payload}))
-	}
+	f.Add(appendFrame(nil, frame{Type: ftEvents, Stream: 5, Payload: payload}))
 	f.Add([]byte{})
-	f.Add([]byte{magic0, magic1, verJSON, ftRequest})
-	f.Add([]byte{magic0, magic1, verBinary, ftEvents})
+	f.Add([]byte{magic0, magic1, 1, ftRequest}) // the retired JSON version
+	f.Add([]byte{magic0, magic1, version, ftEvents})
 
 	const maxFrame = 1 << 20 // keep fuzz allocations bounded
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -126,85 +78,19 @@ func FuzzWireFrame(f *testing.F) {
 	})
 }
 
-// checkCodecEquivalence asserts that decoding v's JSON serialization
-// and decoding its binary serialization produce identical structs — the
-// contract that lets the two codecs coexist on one connection.
-func checkCodecEquivalence(t *testing.T, v any) {
-	t.Helper()
-	bin, ok := binMarshal(v)
-	if !ok {
-		t.Fatalf("no binary codec for %T", v)
+// FuzzCodecRoundTrip decodes fuzzed bytes as each catalogued type in
+// turn. Whatever decodes must re-encode to exactly the input and decode
+// again to an identical struct (checkRoundTrip) — the wire's substitute
+// for a schema: one value, one encoding, nothing lost in either
+// direction. Nothing may panic.
+func FuzzCodecRoundTrip(f *testing.F) {
+	samples := codecSampleBodies()
+	for i, data := range sampleEncodings(f) {
+		f.Add(uint8(i), data)
 	}
-	jb, err := json.Marshal(v)
-	if err != nil {
-		t.Fatalf("json marshal %T: %v", v, err)
-	}
-	jv := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-	bv := reflect.New(reflect.TypeOf(v).Elem()).Interface()
-	if err := json.Unmarshal(jb, jv); err != nil {
-		t.Fatalf("json unmarshal %T: %v", v, err)
-	}
-	if ok, err := binUnmarshal(bin, bv); !ok || err != nil {
-		t.Fatalf("binary unmarshal %T: ok=%v err=%v", v, ok, err)
-	}
-	if !reflect.DeepEqual(jv, bv) {
-		t.Fatalf("%T: JSON and binary decodes differ:\n json: %#v\n bin:  %#v", v, jv, bv)
-	}
-}
-
-// FuzzCodecEquivalence drives fuzzed field values through both codecs
-// and requires the decoded structs to match exactly — nil-ness of
-// slices and maps included. This is the wire's substitute for a schema:
-// JSON stays the reference semantics, and the binary codec must never
-// diverge from it.
-func FuzzCodecEquivalence(f *testing.F) {
-	f.Add("tx1", "pdc1", "k", []byte("v"), uint64(3), int64(200), false)
-	f.Add("", "", "", []byte(nil), uint64(0), int64(0), true)
-	f.Add("a b", "c", "日本", []byte{0, 1, 2}, uint64(1)<<40, int64(-5), false)
-	f.Fuzz(func(t *testing.T, txid, coll, key string, value []byte, num uint64, n int64, flag bool) {
-		if !utf8.ValidString(txid) || !utf8.ValidString(coll) || !utf8.ValidString(key) {
-			t.Skip("encoding/json replaces invalid UTF-8; not an equivalence the codecs promise")
-		}
-		// Both codecs preserve nil-vs-empty, but `omitempty` JSON tags
-		// drop empty non-nil values, which decode back as nil — an
-		// encoding/json quirk, not a codec property. Normalize inputs.
-		if len(value) == 0 {
-			value = nil
-		}
-		ccEvent := &ledger.ChaincodeEvent{Name: key, Payload: value}
-		if !flag {
-			ccEvent = nil
-		}
-		msgs := []any{
-			&pvtRequest{TxID: txid, Collection: coll},
-			&txIDRequest{TxID: txid},
-			&subscribeRequest{From: num, Live: flag},
-			&blocksRequest{From: num},
-			&handleRequest{Handle: num},
-			&inPendingResponse{Pending: flag},
-			&infoResponse{Name: txid, Org: coll, Channel: key, Height: num, StateHash: coll},
-			&orderRequest{Tx: value},
-			&evaluateResponse{Payload: value},
-			&submitAsyncResponse{Handle: num, TxID: txid},
-			&request{Method: txid, Deadline: n},
-			&response{Err: &WireError{Code: txid, Message: coll, RetryAfterMs: n}, More: flag},
-			&endorseRequest{
-				Proposal:  &ledger.Proposal{TxID: txid, ChannelID: coll, Chaincode: key, Function: txid, Args: []string{txid, key}},
-				Transient: map[string][]byte{key: value},
-			},
-			&rwset.TxPvtRWSet{TxID: txid, CollSets: []rwset.CollPvtRWSet{{
-				Collection: coll,
-				Reads:      []rwset.KVRead{{Key: key, Version: statedb.Version(num)}},
-				Writes:     []rwset.KVWrite{{Key: key, Value: value, IsDelete: flag}},
-			}}},
-			&service.InvokeRequest{Channel: coll, Chaincode: txid, Function: key, Args: []string{txid, key}, Transient: map[string][]byte{key: value}},
-			&service.SubmitResult{TxID: txid, Payload: value, Code: ledger.ValidationCode(n), Detail: coll, BlockNum: num, Event: ccEvent, MissingCollections: []string{coll}, CommitWait: time.Duration(n)},
-			&ledger.ProposalResponse{Payload: value, PlainPayload: value, Response: ledger.Response{Status: int32(n), Message: coll, Payload: value}, Endorsement: ledger.Endorsement{Endorser: value, Signature: value}},
-			&event{Status: &deliver.TxStatusEvent{BlockNum: num, TxIndex: int(n), TxID: txid, Code: ledger.ValidationCode(n), Detail: coll, MissingCollections: []string{coll}, ChaincodeEvent: ccEvent, Replayed: flag}},
-		}
-		for _, m := range msgs {
-			checkCodecEquivalence(t, m)
-		}
+	f.Add(uint8(0), []byte{})
+	f.Fuzz(func(t *testing.T, kind uint8, data []byte) {
+		checkRoundTrip(t, samples[int(kind)%len(samples)], data)
 	})
 }
 

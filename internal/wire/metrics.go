@@ -30,7 +30,6 @@ type wireStats struct {
 
 	batchFrames   atomic.Uint64
 	batchedEvents atomic.Uint64
-	jsonFallbacks atomic.Uint64
 }
 
 var stats wireStats
@@ -67,7 +66,6 @@ func MetricsSnapshot() map[string]uint64 {
 		metrics.WirePoolMisses:    stats.poolMisses.Load(),
 		metrics.WireBatchFrames:   stats.batchFrames.Load(),
 		metrics.WireBatchedEvents: stats.batchedEvents.Load(),
-		metrics.WireJSONFallbacks: stats.jsonFallbacks.Load(),
 	}
 }
 

@@ -1,23 +1,20 @@
 package wire
 
 import (
-	"encoding/json"
-
 	"repro/internal/deliver"
 	"repro/internal/ledger"
-	"repro/internal/service"
 )
 
 // request is the payload of an ftRequest frame.
 type request struct {
 	// Method names the RPC, e.g. "peer.endorse".
-	Method string `json:"method"`
+	Method string
 	// Deadline is the caller's context deadline in Unix nanoseconds;
 	// zero means none. The server re-derives a context from it, so
 	// deadlines propagate across the process boundary.
-	Deadline int64 `json:"deadline,omitempty"`
-	// Body is the method-specific request struct.
-	Body json.RawMessage `json:"body,omitempty"`
+	Deadline int64
+	// Body is the encoded method-specific request struct.
+	Body []byte
 }
 
 // response is the payload of an ftResponse frame. For unary calls it is
@@ -26,9 +23,9 @@ type request struct {
 // a later response without More ends the stream, carrying the reason in
 // Err.
 type response struct {
-	Err  *WireError      `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
-	More bool            `json:"more,omitempty"`
+	Err  *WireError
+	Body []byte
+	More bool
 }
 
 // WireError is the serialized form of a call error. Code maps back to
@@ -36,18 +33,18 @@ type response struct {
 // across the process boundary; RetryAfterMs carries the admission
 // controller's backpressure hint through gateway overload errors.
 type WireError struct {
-	Code         string `json:"code"`
-	Message      string `json:"message"`
-	RetryAfterMs int64  `json:"retry_after_ms,omitempty"`
+	Code         string
+	Message      string
+	RetryAfterMs int64
 }
 
 // event is the payload of an ftEvent frame: exactly one of the fields
 // is set — the two deliver event kinds, or a snapshot chunk on a
 // peer.snapshot.chunks stream.
 type event struct {
-	Block  *deliver.BlockEvent    `json:"block,omitempty"`
-	Status *deliver.TxStatusEvent `json:"status,omitempty"`
-	Chunk  *SnapshotChunkEvent    `json:"chunk,omitempty"`
+	Block  *deliver.BlockEvent
+	Status *deliver.TxStatusEvent
+	Chunk  *SnapshotChunkEvent
 }
 
 // decode returns the deliver.Event the frame carries.
@@ -72,57 +69,57 @@ func (e *event) decode() deliver.Event {
 // excluded from serialization (it must never enter a transaction); the
 // endorsing peer reattaches it before simulation.
 type endorseRequest struct {
-	Proposal  *ledger.Proposal  `json:"proposal"`
-	Transient map[string][]byte `json:"transient,omitempty"`
+	Proposal  *ledger.Proposal
+	Transient map[string][]byte
 }
 
 // subscribeRequest opens a peer.subscribe deliver stream.
 type subscribeRequest struct {
-	From uint64 `json:"from"`
+	From uint64
 	// Live selects SubscribeLive (From ignored) over SubscribeFrom.
-	Live bool `json:"live,omitempty"`
+	Live bool
 }
 
 // pvtRequest asks a peer for one transaction's private rwset of a
 // collection (the reconciler's pull).
 type pvtRequest struct {
-	TxID       string `json:"tx_id"`
-	Collection string `json:"collection"`
+	TxID       string
+	Collection string
 }
 
 // infoResponse describes a serving peer; the wire client caches it at
 // connect time to answer Name/Org/ChannelName locally, and cluster
 // tests use Height/StateHash for convergence checks.
 type infoResponse struct {
-	Name      string `json:"name"`
-	Org       string `json:"org"`
-	Channel   string `json:"channel"`
-	Height    uint64 `json:"height"`
-	StateHash string `json:"state_hash"`
+	Name      string
+	Org       string
+	Channel   string
+	Height    uint64
+	StateHash string
 	// Base is the peer's chain base: 0 for a genesis-replay peer, the
 	// snapshot height for a peer bootstrapped via InstallSnapshot.
-	Base uint64 `json:"base,omitempty"`
+	Base uint64
 }
 
 // orderRequest submits a serialized transaction (ledger.Transaction
 // canonical bytes) for ordering.
 type orderRequest struct {
-	Tx []byte `json:"tx"`
+	Tx []byte
 }
 
 // txIDRequest names a transaction for order.inpending / order.flushtx.
 type txIDRequest struct {
-	TxID string `json:"tx_id"`
+	TxID string
 }
 
 // inPendingResponse reports order.inpending's verdict.
 type inPendingResponse struct {
-	Pending bool `json:"pending"`
+	Pending bool
 }
 
 // blocksRequest opens an order.blocks stream from block number From.
 type blocksRequest struct {
-	From uint64 `json:"from"`
+	From uint64
 }
 
 // snapshotMetaResponse answers peer.snapshot.meta: the manifest of a
@@ -130,14 +127,14 @@ type blocksRequest struct {
 // verbatim so the artifact's self-hash verifies end to end — plus the
 // export handle a peer.snapshot.chunks stream is keyed by.
 type snapshotMetaResponse struct {
-	Export   uint64 `json:"export"`
-	Manifest []byte `json:"manifest"`
+	Export   uint64
+	Manifest []byte
 }
 
 // snapshotChunksRequest opens a peer.snapshot.chunks stream replaying
 // one export's chunk files in manifest order.
 type snapshotChunksRequest struct {
-	Export uint64 `json:"export"`
+	Export uint64
 }
 
 // SnapshotChunkEvent carries one snapshot chunk file, byte for byte as
@@ -145,11 +142,11 @@ type snapshotChunksRequest struct {
 // receiver. It rides the event union of a peer.snapshot.chunks stream.
 type SnapshotChunkEvent struct {
 	// Index is the chunk's position in the manifest's chunk list.
-	Index uint64 `json:"index"`
+	Index uint64
 	// Name is the chunk's file name inside the artifact directory.
-	Name string `json:"name"`
+	Name string
 	// Data is the verbatim chunk file content.
-	Data []byte `json:"data"`
+	Data []byte
 }
 
 // BlockNumber implements deliver.Event; for a chunk it is the artifact
@@ -158,23 +155,16 @@ func (e *SnapshotChunkEvent) BlockNumber() uint64 { return e.Index }
 
 // evaluateResponse carries gw.evaluate's query payload.
 type evaluateResponse struct {
-	Payload []byte `json:"payload,omitempty"`
+	Payload []byte
 }
 
 // submitAsyncResponse hands back a server-side commit handle.
 type submitAsyncResponse struct {
-	Handle uint64 `json:"handle"`
-	TxID   string `json:"tx_id"`
+	Handle uint64
+	TxID   string
 }
 
 // handleRequest names a commit handle for gw.status / gw.close.
 type handleRequest struct {
-	Handle uint64 `json:"handle"`
+	Handle uint64
 }
-
-// Compile-time guarantee that the request/response structs the protocol
-// shares with the service layer stay marshalable.
-var (
-	_ = service.InvokeRequest{}
-	_ = service.SubmitResult{}
-)

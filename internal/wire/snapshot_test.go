@@ -82,9 +82,9 @@ func serveArtifact(t *testing.T, dir string) *Server {
 	})
 }
 
-// TestFetchSnapshotRoundTrip downloads an artifact over the wire with
-// both codecs and proves the fetched copy verifies and loads exactly
-// like the original — same snapshot hash, same records.
+// TestFetchSnapshotRoundTrip downloads an artifact over the wire and
+// proves the fetched copy verifies and loads exactly like the original —
+// same snapshot hash, same records.
 func TestFetchSnapshotRoundTrip(t *testing.T) {
 	src := writeTestArtifact(t)
 	wantM, wantRecs, err := snapshot.Load(src)
@@ -96,31 +96,27 @@ func TestFetchSnapshotRoundTrip(t *testing.T) {
 	}
 	s := serveArtifact(t, src)
 
-	for _, codec := range []Codec{CodecJSON, CodecBinary} {
-		t.Run(string(codec), func(t *testing.T) {
-			c := dialT(t, s, ClientOptions{Codec: codec})
-			p := &PeerClient{c: c}
-			dst := filepath.Join(t.TempDir(), "fetched")
-			m, err := p.FetchSnapshot(context.Background(), dst)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if m.SnapshotHash != wantM.SnapshotHash {
-				t.Fatalf("manifest hash changed in flight: %s != %s", m.SnapshotHash, wantM.SnapshotHash)
-			}
-			gotM, gotRecs, err := snapshot.Load(dst)
-			if err != nil {
-				t.Fatalf("fetched artifact fails verification: %v", err)
-			}
-			if gotM.SnapshotHash != wantM.SnapshotHash || len(gotRecs) != len(wantRecs) {
-				t.Fatalf("fetched artifact differs: hash %s records %d, want %s / %d",
-					gotM.SnapshotHash, len(gotRecs), wantM.SnapshotHash, len(wantRecs))
-			}
-			// No .partial residue after a successful download.
-			if _, err := os.Stat(dst + ".partial"); !os.IsNotExist(err) {
-				t.Fatalf(".partial staging dir left behind (stat err %v)", err)
-			}
-		})
+	c := dialT(t, s, ClientOptions{})
+	p := &PeerClient{c: c}
+	dst := filepath.Join(t.TempDir(), "fetched")
+	m, err := p.FetchSnapshot(context.Background(), dst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if m.SnapshotHash != wantM.SnapshotHash {
+		t.Fatalf("manifest hash changed in flight: %s != %s", m.SnapshotHash, wantM.SnapshotHash)
+	}
+	gotM, gotRecs, err := snapshot.Load(dst)
+	if err != nil {
+		t.Fatalf("fetched artifact fails verification: %v", err)
+	}
+	if gotM.SnapshotHash != wantM.SnapshotHash || len(gotRecs) != len(wantRecs) {
+		t.Fatalf("fetched artifact differs: hash %s records %d, want %s / %d",
+			gotM.SnapshotHash, len(gotRecs), wantM.SnapshotHash, len(wantRecs))
+	}
+	// No .partial residue after a successful download.
+	if _, err := os.Stat(dst + ".partial"); !os.IsNotExist(err) {
+		t.Fatalf(".partial staging dir left behind (stat err %v)", err)
 	}
 }
 

@@ -3,11 +3,13 @@ package wire
 import (
 	"bytes"
 	"context"
-	"encoding/json"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"net"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -15,15 +17,28 @@ import (
 	"repro/internal/deliver"
 	"repro/internal/gateway"
 	"repro/internal/identity"
+	"repro/internal/ledger"
 	"repro/internal/orderer"
+	"repro/internal/rwset"
+	"repro/internal/service"
 )
 
 // --- framing ---
 
+// envelope returns v's binary encoding, the payload of a real frame.
+func envelope(t testing.TB, v any) []byte {
+	t.Helper()
+	data, err := marshalBody(v)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
+}
+
 func TestFrameRoundTrip(t *testing.T) {
 	cases := []frame{
-		{Type: ftRequest, Stream: 1, Payload: []byte(`{"method":"peer.info"}`)},
-		{Type: ftResponse, Stream: 1 << 40, Payload: []byte(`{}`)},
+		{Type: ftRequest, Stream: 1, Payload: envelope(t, &request{Method: "peer.info"})},
+		{Type: ftResponse, Stream: 1 << 40, Payload: envelope(t, &response{})},
 		{Type: ftEvent, Stream: 7, Payload: bytes.Repeat([]byte("x"), 100_000)},
 		{Type: ftCancel, Stream: 0, Payload: nil},
 	}
@@ -45,7 +60,7 @@ func TestFrameRoundTrip(t *testing.T) {
 }
 
 func TestFrameCorruptionDetected(t *testing.T) {
-	encoded := appendFrame(nil, frame{Type: ftRequest, Stream: 3, Payload: []byte(`{"method":"x"}`)})
+	encoded := appendFrame(nil, frame{Type: ftRequest, Stream: 3, Payload: envelope(t, &request{Method: "x"})})
 	// Flip every byte in turn; every corruption must surface as a typed
 	// error (ErrCorrupt or ErrFrameTooLarge), never as a silent success
 	// with altered content.
@@ -77,10 +92,25 @@ func TestFrameTooLarge(t *testing.T) {
 }
 
 func TestFrameTruncated(t *testing.T) {
-	encoded := appendFrame(nil, frame{Type: ftEvent, Stream: 9, Payload: []byte(`{"a":1}`)})
+	encoded := appendFrame(nil, frame{Type: ftEvent, Stream: 9, Payload: envelope(t, &event{})})
 	for n := 0; n < len(encoded); n++ {
 		if _, err := readFrame(bytes.NewReader(encoded[:n]), DefaultMaxFrame); err == nil {
 			t.Fatalf("truncation at %d/%d bytes not detected", n, len(encoded))
+		}
+	}
+}
+
+// TestRetiredVersionRejected: byte 2 is a protocol version with one
+// accepted value; the retired JSON version 1 (and anything else) is
+// typed corruption even under a valid checksum.
+func TestRetiredVersionRejected(t *testing.T) {
+	for _, ver := range []byte{0, 1, 3} {
+		encoded := appendFrame(nil, frame{Type: ftRequest, Stream: 3, Payload: envelope(t, &request{Method: "x"})})
+		encoded[2] = ver
+		sum := crc32.Checksum(encoded[:len(encoded)-trailerSize], castagnoli)
+		binary.BigEndian.PutUint32(encoded[len(encoded)-trailerSize:], sum)
+		if _, err := readFrame(bytes.NewReader(encoded), DefaultMaxFrame); !errors.Is(err, ErrCorrupt) {
+			t.Fatalf("version %d: got %v, want ErrCorrupt", ver, err)
 		}
 	}
 }
@@ -114,9 +144,8 @@ func dialT(t *testing.T, s *Server, opts ClientOptions) *Client {
 	return c
 }
 
-type echoBody struct {
-	Msg string `json:"msg"`
-}
+// echoBody is the catalogue type the echo handlers bounce.
+type echoBody = txIDRequest
 
 func TestUnaryCall(t *testing.T) {
 	s := startServer(t, ServerOptions{}, map[string]Handler{
@@ -125,16 +154,16 @@ func TestUnaryCall(t *testing.T) {
 			if err := body.Decode(&in); err != nil {
 				return nil, err
 			}
-			return &echoBody{Msg: in.Msg + "!"}, nil
+			return &echoBody{TxID: in.TxID + "!"}, nil
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
 	var out echoBody
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "hi"}, &out); err != nil {
+	if err := c.Call(context.Background(), "echo", &echoBody{TxID: "hi"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Msg != "hi!" {
-		t.Fatalf("echo: got %q", out.Msg)
+	if out.TxID != "hi!" {
+		t.Fatalf("echo: got %q", out.TxID)
 	}
 }
 
@@ -155,12 +184,12 @@ func TestConcurrentCallsMultiplex(t *testing.T) {
 			defer wg.Done()
 			want := fmt.Sprintf("msg-%d", i)
 			var out echoBody
-			if err := c.Call(context.Background(), "echo", &echoBody{Msg: want}, &out); err != nil {
+			if err := c.Call(context.Background(), "echo", &echoBody{TxID: want}, &out); err != nil {
 				errs <- err
 				return
 			}
-			if out.Msg != want {
-				errs <- fmt.Errorf("call %d: got %q", i, out.Msg)
+			if out.TxID != want {
+				errs <- fmt.Errorf("call %d: got %q", i, out.TxID)
 			}
 		}(i)
 	}
@@ -339,6 +368,34 @@ func TestStreamClientCloseCancelsHandler(t *testing.T) {
 	}
 }
 
+// TestConnDropCancelsStreamHandler: a client that hangs up without an
+// ftCancel (process exit, network loss) must still abort its stream
+// handlers, or an idle handler — and Server.Close behind it — waits
+// forever.
+func TestConnDropCancelsStreamHandler(t *testing.T) {
+	canceled := make(chan struct{})
+	s := startServer(t, ServerOptions{}, map[string]Handler{
+		"live": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
+			if err := sink.Ack(); err != nil {
+				return nil, err
+			}
+			<-ctx.Done()
+			close(canceled)
+			return nil, ctx.Err()
+		},
+	})
+	c := dialT(t, s, ClientOptions{})
+	if _, err := c.Stream(context.Background(), "live", nil); err != nil {
+		t.Fatal(err)
+	}
+	c.cn.close(nil) // drop the socket; no ftCancel is sent
+	select {
+	case <-canceled:
+	case <-time.After(5 * time.Second):
+		t.Fatal("stream handler outlived its dropped connection")
+	}
+}
+
 // --- error code round-trips ---
 
 func TestSentinelErrorsSurviveTheWire(t *testing.T) {
@@ -353,14 +410,14 @@ func TestSentinelErrorsSurviveTheWire(t *testing.T) {
 	}
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"err": func(_ context.Context, body Body, _ *Sink) (any, error) {
-			var idx int
-			body.Decode(&idx)
-			return nil, fmt.Errorf("wrapped: %w", sentinelErrs[idx])
+			var req handleRequest
+			body.Decode(&req)
+			return nil, fmt.Errorf("wrapped: %w", sentinelErrs[req.Handle])
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
 	for i, want := range sentinelErrs {
-		err := c.Call(context.Background(), "err", i, nil)
+		err := c.Call(context.Background(), "err", &handleRequest{Handle: uint64(i)}, nil)
 		if !errors.Is(err, want) {
 			t.Errorf("sentinel %v: got %v", want, err)
 		}
@@ -384,6 +441,98 @@ func TestOverloadedErrorKeepsRetryHint(t *testing.T) {
 	}
 }
 
+// TestUncataloguedBodyIsTypedError: a body type absent from the
+// catalogue fails the one call with a typed error — as the request on
+// Client.Call, as the result in the server's reply — and never changes
+// the frame's format or costs the connection.
+func TestUncataloguedBodyIsTypedError(t *testing.T) {
+	type unknown struct{ A int }
+	s := startServer(t, ServerOptions{}, map[string]Handler{
+		"echo": func(_ context.Context, body Body, _ *Sink) (any, error) {
+			var in echoBody
+			if err := body.Decode(&in); err != nil {
+				return nil, err
+			}
+			return &in, nil
+		},
+		"unknown": func(context.Context, Body, *Sink) (any, error) { return &unknown{A: 7}, nil },
+	})
+	c := dialT(t, s, ClientOptions{})
+	ctx := context.Background()
+	if err := c.Call(ctx, "echo", &unknown{A: 7}, nil); !errors.Is(err, ErrNoEncoding) {
+		t.Fatalf("uncatalogued request: got %v, want ErrNoEncoding", err)
+	}
+	if _, err := c.Stream(ctx, "echo", &unknown{A: 7}); !errors.Is(err, ErrNoEncoding) {
+		t.Fatalf("uncatalogued stream request: got %v, want ErrNoEncoding", err)
+	}
+	err := c.Call(ctx, "unknown", nil, nil)
+	if err == nil || !strings.Contains(err.Error(), ErrNoEncoding.Error()) {
+		t.Fatalf("uncatalogued response: got %v, want the server's encode error", err)
+	}
+	var out echoBody
+	if err := c.Call(ctx, "echo", &echoBody{TxID: "still here"}, &out); err != nil || out.TxID != "still here" {
+		t.Fatalf("connection unusable after encode errors: %q, %v", out.TxID, err)
+	}
+}
+
+// TestRPCCatalogueHasBinaryEncodings walks every method host.go
+// registers and requires its request and response types to be in the
+// codec catalogue, so a new RPC cannot ship with a body the wire would
+// refuse at run time. A method missing from the table fails too: adding
+// an RPC means adding its row.
+func TestRPCCatalogueHasBinaryEncodings(t *testing.T) {
+	bodies := map[string]struct{ req, resp any }{
+		"peer.endorse":         {&endorseRequest{}, &ledger.ProposalResponse{}},
+		"peer.subscribe":       {&subscribeRequest{}, &event{}},
+		"peer.pvt":             {&pvtRequest{}, (*rwset.CollPvtRWSet)(nil)},
+		"peer.pvtpush":         {&rwset.TxPvtRWSet{}, nil},
+		"peer.info":            {nil, &infoResponse{}},
+		"peer.snapshot.meta":   {nil, &snapshotMetaResponse{}},
+		"peer.snapshot.chunks": {&snapshotChunksRequest{}, &event{}},
+		"order.submit":         {&orderRequest{}, nil},
+		"order.inpending":      {&txIDRequest{}, &inPendingResponse{}},
+		"order.flushtx":        {&txIDRequest{}, nil},
+		"order.blocks":         {&blocksRequest{}, &event{}},
+		"gw.evaluate":          {&service.InvokeRequest{}, &evaluateResponse{}},
+		"gw.submit":            {&service.InvokeRequest{}, &service.SubmitResult{}},
+		"gw.submitasync":       {&service.InvokeRequest{}, &submitAsyncResponse{}},
+		"gw.status":            {&handleRequest{}, &service.SubmitResult{}},
+		"gw.close":             {&handleRequest{}, nil},
+	}
+	// Registration only captures the components; nil ones are never
+	// called here.
+	s, err := NewServer(ServerOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	RegisterPeer(s, nil)
+	RegisterOrderer(s, nil)
+	RegisterGateway(s, nil)
+	if len(s.handlers) != len(bodies) {
+		t.Errorf("%d methods registered, %d in the table", len(s.handlers), len(bodies))
+	}
+	for method := range s.handlers {
+		row, ok := bodies[method]
+		if !ok {
+			t.Errorf("%s: registered but not in the table", method)
+			continue
+		}
+		for _, v := range []any{row.req, row.resp} {
+			if v == nil {
+				continue
+			}
+			data, err := marshalBody(v)
+			if err != nil {
+				t.Errorf("%s: %v", method, err)
+				continue
+			}
+			if err := unmarshalBody(data, newZero(v)); err != nil {
+				t.Errorf("%s: %T does not decode: %v", method, v, err)
+			}
+		}
+	}
+}
+
 // --- connection lifecycle ---
 
 func TestCallsFailAfterServerClose(t *testing.T) {
@@ -397,14 +546,14 @@ func TestCallsFailAfterServerClose(t *testing.T) {
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "a"}, nil); err != nil {
+	if err := c.Call(context.Background(), "echo", &echoBody{TxID: "a"}, nil); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
 	// The dead connection must fail calls, not hang them.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
-	if err := c.Call(ctx, "echo", &echoBody{Msg: "b"}, nil); err == nil {
+	if err := c.Call(ctx, "echo", &echoBody{TxID: "b"}, nil); err == nil {
 		t.Fatal("call after server close succeeded")
 	}
 }
@@ -438,11 +587,11 @@ func TestTLSPinnedKey(t *testing.T) {
 	})
 	c := dialT(t, s, ClientOptions{Identity: clientID, ServerKey: serverID.Cert.PubKey})
 	var out echoBody
-	if err := c.Call(context.Background(), "echo", &echoBody{Msg: "secure"}, &out); err != nil {
+	if err := c.Call(context.Background(), "echo", &echoBody{TxID: "secure"}, &out); err != nil {
 		t.Fatal(err)
 	}
-	if out.Msg != "secure" {
-		t.Fatalf("echo over TLS: got %q", out.Msg)
+	if out.TxID != "secure" {
+		t.Fatalf("echo over TLS: got %q", out.TxID)
 	}
 }
 
@@ -465,7 +614,7 @@ func TestTLSWrongPinnedKeyRejected(t *testing.T) {
 		defer c.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
-		if cerr := c.Call(ctx, "echo", &echoBody{Msg: "x"}, nil); cerr == nil {
+		if cerr := c.Call(ctx, "echo", &echoBody{TxID: "x"}, nil); cerr == nil {
 			t.Fatal("call over mis-pinned TLS succeeded")
 		}
 	}
@@ -517,7 +666,7 @@ func TestOversizedResponseSurfacesError(t *testing.T) {
 	}
 	s := startServer(t, ServerOptions{MaxFrame: 1024}, map[string]Handler{
 		"big": func(_ context.Context, _ Body, _ *Sink) (any, error) {
-			return &echoBody{Msg: string(big)}, nil
+			return &echoBody{TxID: string(big)}, nil
 		},
 	})
 	c := dialT(t, s, ClientOptions{})
@@ -553,10 +702,7 @@ func TestStreamIDReuseDropsConnection(t *testing.T) {
 	}
 	defer nc.Close()
 	cn := newConn(nc, DefaultMaxFrame)
-	payload, err := json.Marshal(&request{Method: "wait"})
-	if err != nil {
-		t.Fatal(err)
-	}
+	payload := envelope(t, &request{Method: "wait"})
 	for i := 0; i < 2; i++ {
 		if err := cn.send(frame{Type: ftRequest, Stream: 7, Payload: payload}); err != nil {
 			t.Fatal(err)
