@@ -8,8 +8,8 @@
 //	Fig. 5/6, §V-A3..A6 -> BenchmarkAttack_*
 //	Fig. 7–10 -> BenchmarkFig7to10_CorpusAnalysis (plus the exact-count
 //	             tests in internal/corpus)
-//	Fig. 11   -> BenchmarkFig11_* (plus cmd/fabricbench for the
-//	             paper-style 100-run report)
+//	Fig. 11   -> BenchmarkFig11_* (plus `cmd/experiments -skip
+//	             matrix,corpus` for the paper-style 100-run report)
 //
 // Run with: go test -bench=. -benchmem .
 package repro

@@ -571,8 +571,8 @@ func (c *Commit) wait(ctx context.Context) (*Result, error, bool) {
 		// pending partial batch only if it still holds this transaction
 		// (so N concurrent waiters sharing one batch produce one cut,
 		// and an already-cut transaction makes it a no-op) — the
-		// condition lives orderer-side, which for a remote orderer
-		// saves the separate InPending round trip per commit wait.
+		// condition lives orderer-side, so a remote orderer costs
+		// one round trip per commit wait.
 		c.g.orderer.FlushTx(c.txID)
 		if c.g.counters != nil {
 			c.g.counters.Inc(metrics.GatewayFlushes)

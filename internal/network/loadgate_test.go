@@ -2,6 +2,7 @@ package network
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync"
 	"testing"
@@ -257,5 +258,44 @@ func TestAbandonedCommitsReleaseSubscriptions(t *testing.T) {
 	gw.Close()
 	if got := deliver.SubscriberCount(); got != base {
 		t.Fatalf("SubscriberCount = %d after Gateway Close, want %d", got, base)
+	}
+}
+
+// TestAdmissionArmedAtRuntime: SetSecurity arms and disarms a live
+// gateway's token bucket. Armed with one token, the second submission is
+// shed with a typed ErrOverloaded carrying a retry-after hint, and
+// nothing reaches the orderer; disarmed, a burst commits in full.
+func TestAdmissionArmedAtRuntime(t *testing.T) {
+	n := newLoadNet(t, 1)
+	defer n.Close()
+	defer n.Orderer.Stop()
+	gw := n.Gateway("org1")
+	contract := gw.Network("c1").Contract("asset")
+	submit := func(key string) error {
+		_, err := contract.Submit(context.Background(), "set", gateway.WithArguments(key, "v"))
+		return err
+	}
+
+	sec := n.Security()
+	sec.GatewayAdmissionRate, sec.GatewayAdmissionBurst = 0.001, 1
+	gw.SetSecurity(sec)
+	if err := submit("armed-0"); err != nil {
+		t.Fatalf("submission within the burst: %v", err)
+	}
+	ordered := n.Orderer.Metrics()[metrics.TxOrdered]
+	var oe *gateway.OverloadedError
+	if err := submit("armed-1"); !errors.As(err, &oe) || !errors.Is(err, gateway.ErrOverloaded) || oe.RetryAfter <= 0 {
+		t.Fatalf("submission past the burst: got %v, want ErrOverloaded with a retry-after hint", err)
+	}
+	if got := n.Orderer.Metrics()[metrics.TxOrdered]; got != ordered {
+		t.Fatalf("tx_ordered moved %d -> %d for a shed submission", ordered, got)
+	}
+
+	sec.GatewayAdmissionRate, sec.GatewayAdmissionBurst = 0, 0
+	gw.SetSecurity(sec)
+	for i := 0; i < 5; i++ {
+		if err := submit(fmt.Sprintf("disarmed-%d", i)); err != nil {
+			t.Fatalf("submission %d after disarming: %v", i, err)
+		}
 	}
 }

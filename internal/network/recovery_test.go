@@ -46,7 +46,7 @@ func mkDurablePeer(t *testing.T, n *Network, dir, name string) *peer.Peer {
 // reconcileAll drives the anti-entropy reconciler until the peer has no
 // missing private entries left (or gives up after a bounded number of
 // ticks) so state hashes compare the healed state.
-func reconcileAll(t *testing.T, p *peer.Peer) {
+func reconcileAll(t testing.TB, p *peer.Peer) {
 	t.Helper()
 	for i := 0; i < 32; i++ {
 		if len(p.Validator().Missing()) == 0 {

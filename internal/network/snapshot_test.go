@@ -18,7 +18,7 @@ import (
 
 // newSnapshotNet is newTestNet with BlockToLive on the collection, so
 // commits leave a pending purge schedule for snapshots to carry.
-func newSnapshotNet(t *testing.T) *Network {
+func newSnapshotNet(t testing.TB) *Network {
 	t.Helper()
 	n, err := New(Options{
 		Orgs: []string{"org1", "org2", "org3"},
@@ -61,7 +61,7 @@ func org2Setup(n *Network) func(*peer.Peer) error {
 // network-wide, so a peer later replaying from genesis can never heal
 // it — tests that compare a replay-joined peer byte-for-byte must
 // delete privately only while every peer is live.
-func buildHistory(t *testing.T, n *Network, withPrivateDelete bool) {
+func buildHistory(t testing.TB, n *Network, withPrivateDelete bool) {
 	t.Helper()
 	cl := n.Gateway("org1")
 	members := []*peer.Peer{n.Peer("org1"), n.Peer("org2")}
@@ -314,4 +314,62 @@ func TestKillMidInstallRecovery(t *testing.T) {
 	if got, want := reopened.PvtStore().PendingPurges(), source.PvtStore().PendingPurges(); !reflect.DeepEqual(got, want) {
 		t.Fatalf("restored purge schedule mismatch:\n got %+v\nwant %+v", got, want)
 	}
+}
+
+// joinChainBlocks is how many public blocks BenchmarkJoin commits on top
+// of buildHistory, so replay cost is set by the chain's length as it is
+// for a real late joiner. It stays below the collection's BlockToLive:
+// past it the members have purged the history's private writes, and a
+// replaying joiner records them missing with no one left to serve them.
+const joinChainBlocks = 500
+
+// BenchmarkJoin prices the two cold-join paths on one chain. "replay"
+// commits every block from genesis, then reconciles the private data it
+// was never pushed; "snapshot" exports the source's state and installs
+// it on a fresh peer. Every iteration checks that the joiner's state
+// hash equals the source's, so the ratio of the two ns/op figures is
+// the speed-up of docs/SNAPSHOT.md.
+func BenchmarkJoin(b *testing.B) {
+	n := newSnapshotNet(b)
+	buildHistory(b, n, false)
+	for i := 0; i < joinChainBlocks; i++ {
+		if _, err := submitTx(n.Gateway("org1"), n.Peers(), "asset", "set", []string{fmt.Sprintf("h%d", i), "v"}, nil); err != nil {
+			b.Fatal(err)
+		}
+	}
+	source := n.Peer("org2")
+	want := source.WorldState().StateHash()
+	dir := b.TempDir()
+	joined := 0
+	check := func(b *testing.B, p *peer.Peer) {
+		if got := p.WorldState().StateHash(); !bytes.Equal(got, want) {
+			b.Fatalf("%s state hash differs from source:\n got %x\nwant %x", p.Name(), got, want)
+		}
+	}
+
+	b.Run("replay", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			joined++
+			p, err := n.JoinPeer("org2", fmt.Sprintf("replay%d.org2", joined), org2Setup(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			reconcileAll(b, p)
+			check(b, p)
+		}
+	})
+	b.Run("snapshot", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			joined++
+			snap := filepath.Join(dir, fmt.Sprintf("snap%d", joined))
+			if _, err := source.ExportSnapshot(snap); err != nil {
+				b.Fatal(err)
+			}
+			p, err := n.JoinPeerFromSnapshot("org2", fmt.Sprintf("snap%d.org2", joined), snap, source, org2Setup(n))
+			if err != nil {
+				b.Fatal(err)
+			}
+			check(b, p)
+		}
+	})
 }

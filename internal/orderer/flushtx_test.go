@@ -18,24 +18,54 @@ func flushTestTx(id string) *ledger.Transaction {
 	}
 }
 
+// waitElided polls until orderer_flushes_elided reaches want.
+func waitElided(t *testing.T, svc *Service, want uint64) {
+	t.Helper()
+	deadline := time.After(5 * time.Second)
+	for svc.Metrics()[metrics.OrdererFlushesElided] < want {
+		select {
+		case <-deadline:
+			t.Fatalf("orderer_flushes_elided = %d, want %d", svc.Metrics()[metrics.OrdererFlushesElided], want)
+		case <-time.After(time.Millisecond):
+		}
+	}
+}
+
+// TestInPending: the orderer's pending-batch membership test, observed
+// through FlushTx — a tx never submitted or already cut is not pending
+// (the flush is elided), a tx in the partial batch is (the flush cuts it).
 func TestInPending(t *testing.T) {
+	blocks := make(chan *ledger.Block, 4)
 	svc := New(Config{OrdererCount: 3, BatchSize: 100, Seed: 11})
-	svc.RegisterDelivery(func(*ledger.Block) {})
+	svc.RegisterDelivery(func(b *ledger.Block) { blocks <- b })
 	defer svc.Stop()
 
-	if svc.InPending("tx-0") {
-		t.Fatal("InPending true before any submission")
-	}
+	svc.FlushTx("tx-0") // before any submission
+	waitElided(t, svc, 1)
+
 	if err := svc.Submit(flushTestTx("tx-0")); err != nil {
 		t.Fatal(err)
 	}
 	// BatchSize 100: the tx is ordered but sits in the partial batch.
-	if !svc.InPending("tx-0") {
-		t.Fatal("InPending false for a tx in the partial batch")
+	svc.FlushTx("tx-0")
+	select {
+	case b := <-blocks:
+		if len(b.Transactions) != 1 || b.Transactions[0].TxID != "tx-0" {
+			t.Fatalf("flushed block carries %d txs, want tx-0 alone", len(b.Transactions))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("FlushTx of a tx in the partial batch cut no block")
 	}
-	svc.Flush()
-	if svc.InPending("tx-0") {
-		t.Fatal("InPending true after the batch was cut")
+	if got := svc.Metrics()[metrics.OrdererFlushesElided]; got != 1 {
+		t.Fatalf("orderer_flushes_elided = %d after flushing a pending tx, want 1", got)
+	}
+
+	svc.FlushTx("tx-0") // after the batch was cut
+	waitElided(t, svc, 2)
+	select {
+	case b := <-blocks:
+		t.Fatalf("flush of an already-cut tx cut block %d", b.Header.Number)
+	default:
 	}
 }
 
@@ -79,14 +109,7 @@ func TestFlushTxElidedWhenNotPending(t *testing.T) {
 	<-blocks // BatchSize 1: the tx was cut immediately
 
 	svc.FlushTx("tx-0") // stale: the tx is already in a block
-	deadline := time.After(5 * time.Second)
-	for svc.Metrics()[metrics.OrdererFlushesElided] == 0 {
-		select {
-		case <-deadline:
-			t.Fatal("orderer_flushes_elided never incremented")
-		case <-time.After(time.Millisecond):
-		}
-	}
+	waitElided(t, svc, 1)
 	select {
 	case b := <-blocks:
 		t.Fatalf("elided flush still cut block %d", b.Header.Number)

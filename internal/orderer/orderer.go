@@ -496,16 +496,9 @@ func (s *Service) FlushTx(txID string) {
 	s.qmu.Unlock()
 }
 
-// InPending reports whether txID is sitting in the pending partial batch
-// — ordered, but not yet cut into a block.
-func (s *Service) InPending(txID string) bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.inPendingLocked(txID)
-}
-
-// inPendingLocked scans the pending batch for txID; the batch never
-// exceeds BatchSize entries, so linear scan is fine. Caller holds s.mu.
+// inPendingLocked reports whether txID sits in the pending partial batch
+// — ordered, but not yet cut into a block. The batch never exceeds
+// BatchSize entries, so linear scan is fine. Caller holds s.mu.
 func (s *Service) inPendingLocked(txID string) bool {
 	for _, tx := range s.pending {
 		if tx.TxID == txID {

@@ -63,17 +63,3 @@ func TestRunFig11AndRender(t *testing.T) {
 		}
 	}
 }
-
-func TestMeasureThroughput(t *testing.T) {
-	r, err := MeasureThroughput(core.OriginalFabric(), "original", 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Transactions != 6 || r.TPS <= 0 {
-		t.Fatalf("result = %+v", r)
-	}
-	out := RenderThroughput([]ThroughputResult{r})
-	if !strings.Contains(out, "original") {
-		t.Fatalf("render = %q", out)
-	}
-}

@@ -70,9 +70,6 @@ type Orderer interface {
 	// expires). Acceptance does not imply validity — the commit status
 	// arrives through the deliver stream.
 	Order(ctx context.Context, tx *ledger.Transaction) error
-	// InPending reports whether the transaction sits in the current
-	// partial batch.
-	InPending(txID string) bool
 	// FlushTx cuts the partial batch if it still holds the transaction.
 	FlushTx(txID string)
 }

@@ -235,18 +235,6 @@ func (o *OrdererClient) Order(ctx context.Context, tx *ledger.Transaction) error
 	return o.c.Call(ctx, "order.submit", &orderRequest{Tx: tx.Bytes()}, nil)
 }
 
-// InPending reports whether the transaction sits in the remote
-// orderer's current partial batch.
-func (o *OrdererClient) InPending(txID string) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	var resp inPendingResponse
-	if err := o.c.Call(ctx, "order.inpending", &txIDRequest{TxID: txID}, &resp); err != nil {
-		return false
-	}
-	return resp.Pending
-}
-
 // FlushTx cuts the remote partial batch if it still holds the
 // transaction.
 func (o *OrdererClient) FlushTx(txID string) {
@@ -262,7 +250,8 @@ func (o *OrdererClient) Blocks(ctx context.Context, from uint64) (service.Stream
 }
 
 // GatewayClient speaks to a served gateway and satisfies
-// service.Gateway: the loadgen harness drives remote fleets through it.
+// service.Gateway: callers drive a gateway process exactly as they
+// drive an in-process gateway.
 type GatewayClient struct {
 	c *Client
 }

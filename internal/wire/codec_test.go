@@ -44,7 +44,7 @@ func codecSampleBodies() []any {
 		&infoResponse{Name: "peer0.org1", Org: "org1", Channel: "c1", Height: 42, StateHash: "ab12", Base: 17},
 		&orderRequest{Tx: []byte(`{"tx_id":"tx9"}`)},
 		&txIDRequest{TxID: "tx9"},
-		&inPendingResponse{Pending: true},
+		&txIDRequest{}, // empty string field
 		&blocksRequest{From: 9},
 		&evaluateResponse{Payload: []byte("answer")},
 		&submitAsyncResponse{Handle: 3, TxID: "tx9"},

@@ -39,8 +39,6 @@ func binMarshal(v any) (data []byte, ok bool) {
 		b = appOrderRequest(b, t)
 	case *txIDRequest:
 		b = appTxIDRequest(b, t)
-	case *inPendingResponse:
-		b = appInPendingResponse(b, t)
 	case *blocksRequest:
 		b = appBlocksRequest(b, t)
 	case *evaluateResponse:
@@ -120,10 +118,6 @@ func binUnmarshal(data []byte, v any) (ok bool, err error) {
 	case *txIDRequest:
 		if r.presence() {
 			t.TxID = r.str()
-		}
-	case *inPendingResponse:
-		if r.presence() {
-			t.Pending = r.bool()
 		}
 	case *blocksRequest:
 		if r.presence() {
@@ -666,14 +660,6 @@ func appTxIDRequest(b []byte, v *txIDRequest) []byte {
 		return b
 	}
 	return appendString(b, v.TxID)
-}
-
-func appInPendingResponse(b []byte, v *inPendingResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendBool(b, v.Pending)
 }
 
 func appBlocksRequest(b []byte, v *blocksRequest) []byte {

@@ -189,7 +189,6 @@ func (se *snapshotExports) lookup(id uint64) (string, bool) {
 // RegisterOrderer serves the ordering surface:
 //
 //	order.submit     unary   orderRequest -> {}
-//	order.inpending  unary   txIDRequest -> inPendingResponse
 //	order.flushtx    unary   txIDRequest -> {}
 //	order.blocks     stream  blocksRequest -> block events
 func RegisterOrderer(s *Server, o *orderer.Service) {
@@ -203,13 +202,6 @@ func RegisterOrderer(s *Server, o *orderer.Service) {
 			return nil, fmt.Errorf("wire: order.submit: %w", err)
 		}
 		return nil, o.Order(ctx, tx)
-	})
-	s.Handle("order.inpending", func(_ context.Context, body Body, _ *Sink) (any, error) {
-		var req txIDRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, fmt.Errorf("wire: order.inpending: %w", err)
-		}
-		return &inPendingResponse{Pending: o.InPending(req.TxID)}, nil
 	})
 	s.Handle("order.flushtx", func(_ context.Context, body Body, _ *Sink) (any, error) {
 		var req txIDRequest

@@ -107,14 +107,9 @@ type orderRequest struct {
 	Tx []byte
 }
 
-// txIDRequest names a transaction for order.inpending / order.flushtx.
+// txIDRequest names a transaction for order.flushtx.
 type txIDRequest struct {
 	TxID string
-}
-
-// inPendingResponse reports order.inpending's verdict.
-type inPendingResponse struct {
-	Pending bool
 }
 
 // blocksRequest opens an order.blocks stream from block number From.

@@ -490,7 +490,6 @@ func TestRPCCatalogueHasBinaryEncodings(t *testing.T) {
 		"peer.snapshot.meta":   {nil, &snapshotMetaResponse{}},
 		"peer.snapshot.chunks": {&snapshotChunksRequest{}, &event{}},
 		"order.submit":         {&orderRequest{}, nil},
-		"order.inpending":      {&txIDRequest{}, &inPendingResponse{}},
 		"order.flushtx":        {&txIDRequest{}, nil},
 		"order.blocks":         {&blocksRequest{}, &event{}},
 		"gw.evaluate":          {&service.InvokeRequest{}, &evaluateResponse{}},
