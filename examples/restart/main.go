@@ -95,7 +95,7 @@ func run() error {
 	fmt.Printf("== durable peer %s writes under %s ==\n", durable.Name(), dir)
 
 	// 2. Commit public and private transactions; the durable peer appends
-	// every block to its block file and flushes the resulting state
+	// every block to its block log and flushes the resulting state
 	// mutations to its state log before CommitBlock returns.
 	ctx := context.Background()
 	contract := net.Gateway("org1").Network("c1").Contract("asset")
@@ -122,7 +122,7 @@ func run() error {
 	durable = nil
 
 	// 4. A brand-new peer object over the same directory. Restore reads
-	// the block file, installs durable state up to the watermark and
+	// the block log, installs durable state up to the watermark and
 	// replays anything above it through the validator.
 	restarted, err := mkDurable()
 	if err != nil {

@@ -128,7 +128,7 @@ func (s *BlockStore) Block(number uint64) (*Block, error) {
 
 // Transaction looks up a transaction and its validation flag by ID.
 // Pre-base transactions of a snapshot-bootstrapped peer are not locally
-// resolvable (their effects are in the state, not the block files).
+// resolvable (their effects are in the state, not the block log).
 func (s *BlockStore) Transaction(txID string) (*Transaction, ValidationCode, error) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()

@@ -249,8 +249,36 @@ func TestInstallCorruptSnapshotRetries(t *testing.T) {
 // storage.ErrCorrupt (the gap cannot be replayed — the peer never had
 // those blocks), and repeating the install over a fresh backend, then
 // restarting over it, reproduces the exporter's state byte for byte.
-// The durable sibling of this test is TestCrashMidCommitRecovery.
+// It runs on each backend; the durable row closes and reopens the
+// directory between steps, so recovery reads from disk.
 func TestKillMidInstallRecovery(t *testing.T) {
+	backends := []struct {
+		name string
+		// fresh returns a function that opens one new, empty store; each
+		// call after the first reopens that same store.
+		fresh func(t *testing.T) func() storage.Backend
+	}{
+		{"memory", func(t *testing.T) func() storage.Backend {
+			b := storage.NewMemory()
+			return func() storage.Backend { return b }
+		}},
+		{"durable", func(t *testing.T) func() storage.Backend {
+			dir := t.TempDir()
+			return func() storage.Backend {
+				b, err := storage.Open("durable", storage.Options{Dir: dir})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return b
+			}
+		}},
+	}
+	for _, be := range backends {
+		t.Run(be.name, func(t *testing.T) { testKillMidInstallRecovery(t, be.fresh) })
+	}
+}
+
+func testKillMidInstallRecovery(t *testing.T, fresh func(t *testing.T) func() storage.Backend) {
 	n := newSnapshotNet(t)
 	buildHistory(t, n, true)
 	source := n.Peer("org2")
@@ -281,27 +309,36 @@ func TestKillMidInstallRecovery(t *testing.T) {
 
 	// Simulate the crash: the chain base landed durably, the state batch
 	// did not (the install's two durable steps, torn between).
-	halfInstalled := storage.NewMemory()
-	if err := halfInstalled.Blocks().(storage.BaseBlockStore).InstallBase(m.Height, lastHash); err != nil {
+	openHalf := fresh(t)
+	halfInstalled := openHalf()
+	if err := halfInstalled.Blocks().InstallBase(m.Height, lastHash); err != nil {
 		t.Fatal(err)
 	}
-	p := mkPeer("peer-killed.org2", halfInstalled)
+	if err := halfInstalled.Close(); err != nil {
+		t.Fatal(err)
+	}
+	p := mkPeer("peer-killed.org2", openHalf())
+	defer p.Close()
 	if err := p.Restore(); !errors.Is(err, storage.ErrCorrupt) {
 		t.Fatalf("restore over half-installed backend: err = %v, want storage.ErrCorrupt", err)
 	}
 
 	// Recovery procedure: wipe and re-install. The artifact directory is
 	// untouched, so the same files drive the retry.
-	backend := storage.NewMemory()
-	installed := mkPeer("peer-retry.org2", backend)
+	open := fresh(t)
+	installed := mkPeer("peer-retry.org2", open())
 	if err := installed.InstallSnapshot(dir); err != nil {
 		t.Fatalf("re-install after wipe: %v", err)
 	}
 	want := installed.WorldState().StateHash()
+	if err := installed.Close(); err != nil {
+		t.Fatal(err)
+	}
 
 	// Restart over the installed backend: state, purge schedule and
 	// chain base all come back.
-	reopened := mkPeer("peer-retry.org2", backend)
+	reopened := mkPeer("peer-retry.org2", open())
+	defer reopened.Close()
 	if err := reopened.Restore(); err != nil {
 		t.Fatalf("restore after snapshot install: %v", err)
 	}

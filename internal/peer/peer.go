@@ -221,11 +221,7 @@ func (p *Peer) Restore() error {
 	}
 	// A snapshot-installed backend starts its chain at a base height; the
 	// in-memory chain must adopt it before any block installs.
-	var base uint64
-	var baseHash []byte
-	if bs, ok := p.backend.Blocks().(storage.BaseBlockStore); ok {
-		base, baseHash = bs.Base()
-	}
+	base, baseHash := p.backend.Blocks().Base()
 	height := base + uint64(len(blocks))
 	watermark := p.backend.State().Watermark()
 	if watermark > height {

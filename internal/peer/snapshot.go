@@ -192,14 +192,10 @@ func (p *Peer) InstallSnapshot(dir string) error {
 	// by the StateStore contract, so a crash leaves either no state or
 	// all of it.
 	if p.backend != nil {
-		bs, ok := p.backend.Blocks().(storage.BaseBlockStore)
-		if !ok {
-			return fail(fmt.Errorf("storage backend %q does not support snapshot install", p.backend.Name()))
-		}
 		if wm := p.backend.State().Watermark(); wm != 0 {
 			return fail(fmt.Errorf("storage backend is not empty (watermark %d)", wm))
 		}
-		if err := bs.InstallBase(m.Height, lastHash); err != nil {
+		if err := p.backend.Blocks().InstallBase(m.Height, lastHash); err != nil {
 			return fail(err)
 		}
 		batch := storage.StateBatch{Height: m.Height, Records: make([]storage.StateRecord, len(entries))}

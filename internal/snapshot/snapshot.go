@@ -8,10 +8,10 @@
 //
 // On-disk layout: a directory holding MANIFEST.json plus one or more
 // chunk files (chunk-000000.snap, chunk-000001.snap, ...). Each chunk
-// begins with an 8-byte magic and carries CRC-framed records; the
-// manifest records every chunk's size and SHA-256 plus a hash over the
-// manifest itself, so any truncation, bit flip or file swap is detected
-// before a single record is applied.
+// begins with an 8-byte magic and carries records in the disk frame of
+// storage.AppendRecord; the manifest records every chunk's size and
+// SHA-256 plus a hash over the manifest itself, so any truncation, bit
+// flip or file swap is detected before a single record is applied.
 package snapshot
 
 import (
@@ -21,7 +21,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"hash/crc32"
+	"io"
 	"os"
 	"path/filepath"
 
@@ -31,8 +31,9 @@ import (
 // Magic opens every chunk file.
 const Magic = "PDCSNAP1"
 
-// FormatVersion is bumped on any incompatible layout change.
-const FormatVersion = 1
+// FormatVersion is bumped on any incompatible layout change. Version 2
+// frames records with storage.AppendRecord.
+const FormatVersion = 2
 
 // ManifestName is the manifest file inside a snapshot directory.
 const ManifestName = "MANIFEST.json"
@@ -40,14 +41,6 @@ const ManifestName = "MANIFEST.json"
 // DefaultChunkBytes is the target chunk payload size: a chunk is sealed
 // once its framed records reach this many bytes.
 const DefaultChunkBytes = 1 << 20
-
-// maxRecordBytes bounds a single framed record, so a corrupt length
-// field cannot drive a huge allocation during verification.
-const maxRecordBytes = 64 << 20
-
-// castagnoli is the CRC-32C table used for record framing (same
-// polynomial as the durable storage backend).
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // RecordKind discriminates snapshot records.
 type RecordKind uint8
@@ -149,137 +142,59 @@ func (m *Manifest) hash() (string, error) {
 
 // --- record encoding ---
 
-func appendUvarint(buf []byte, v uint64) []byte {
-	return binary.AppendUvarint(buf, v)
-}
-
-func appendString(buf []byte, s string) []byte {
-	buf = appendUvarint(buf, uint64(len(s)))
-	return append(buf, s...)
-}
-
-func appendBytes(buf []byte, b []byte) []byte {
-	buf = appendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// encodeRecord renders a record payload (kind byte + kind-specific
-// fields, uvarint length-prefixed).
+// encodeRecord renders a record body: kind byte + kind-specific fields,
+// byte strings uvarint length-prefixed.
 func encodeRecord(r Record) ([]byte, error) {
 	buf := []byte{byte(r.Kind)}
 	switch r.Kind {
 	case KindState:
-		buf = appendString(buf, r.Namespace)
-		buf = appendString(buf, r.Key)
-		buf = appendBytes(buf, r.Value)
-		buf = appendUvarint(buf, r.Version)
+		buf = storage.AppendString(buf, r.Namespace)
+		buf = storage.AppendString(buf, r.Key)
+		buf = storage.AppendBytes(buf, r.Value)
+		buf = binary.AppendUvarint(buf, r.Version)
 	case KindTombstone:
-		buf = appendString(buf, r.Namespace)
-		buf = appendString(buf, r.Key)
-		buf = appendUvarint(buf, r.Version)
+		buf = storage.AppendString(buf, r.Namespace)
+		buf = storage.AppendString(buf, r.Key)
+		buf = binary.AppendUvarint(buf, r.Version)
 	case KindPurge:
-		buf = appendUvarint(buf, r.At)
-		buf = appendString(buf, r.Namespace)
-		buf = appendString(buf, r.Key)
+		buf = binary.AppendUvarint(buf, r.At)
+		buf = storage.AppendString(buf, r.Namespace)
+		buf = storage.AppendString(buf, r.Key)
 	case KindMissing:
-		buf = appendString(buf, r.TxID)
-		buf = appendString(buf, r.Collection)
+		buf = storage.AppendString(buf, r.TxID)
+		buf = storage.AppendString(buf, r.Collection)
 	default:
 		return nil, fmt.Errorf("snapshot: encode unknown record kind %d", r.Kind)
 	}
 	return buf, nil
 }
 
-type recordReader struct {
-	buf []byte
-	pos int
-}
-
-func (rd *recordReader) uvarint() (uint64, error) {
-	v, n := binary.Uvarint(rd.buf[rd.pos:])
-	if n <= 0 {
-		return 0, fmt.Errorf("%w: truncated varint", storage.ErrCorrupt)
-	}
-	rd.pos += n
-	return v, nil
-}
-
-func (rd *recordReader) bytes() ([]byte, error) {
-	n, err := rd.uvarint()
-	if err != nil {
-		return nil, err
-	}
-	if n > uint64(len(rd.buf)-rd.pos) {
-		return nil, fmt.Errorf("%w: field length %d exceeds record", storage.ErrCorrupt, n)
-	}
-	out := rd.buf[rd.pos : rd.pos+int(n)]
-	rd.pos += int(n)
-	return out, nil
-}
-
-func (rd *recordReader) string() (string, error) {
-	b, err := rd.bytes()
-	return string(b), err
-}
-
-// decodeRecord parses one record payload.
-func decodeRecord(payload []byte) (Record, error) {
-	if len(payload) == 0 {
-		return Record{}, fmt.Errorf("%w: empty record", storage.ErrCorrupt)
-	}
-	r := Record{Kind: RecordKind(payload[0])}
-	rd := &recordReader{buf: payload, pos: 1}
-	var err error
+// decodeRecord parses one record body. storage.ReadRecord never returns
+// an empty body, so the kind byte is always there.
+func decodeRecord(body []byte) (Record, error) {
+	d := storage.NewDecoder(body)
+	r := Record{Kind: RecordKind(d.Byte())}
 	switch r.Kind {
 	case KindState:
-		if r.Namespace, err = rd.string(); err != nil {
-			return r, err
-		}
-		if r.Key, err = rd.string(); err != nil {
-			return r, err
-		}
-		var v []byte
-		if v, err = rd.bytes(); err != nil {
-			return r, err
-		}
-		r.Value = append([]byte(nil), v...)
-		if r.Version, err = rd.uvarint(); err != nil {
-			return r, err
-		}
+		r.Namespace = d.String()
+		r.Key = d.String()
+		r.Value = append([]byte(nil), d.Bytes()...)
+		r.Version = d.Uvarint()
 	case KindTombstone:
-		if r.Namespace, err = rd.string(); err != nil {
-			return r, err
-		}
-		if r.Key, err = rd.string(); err != nil {
-			return r, err
-		}
-		if r.Version, err = rd.uvarint(); err != nil {
-			return r, err
-		}
+		r.Namespace = d.String()
+		r.Key = d.String()
+		r.Version = d.Uvarint()
 	case KindPurge:
-		if r.At, err = rd.uvarint(); err != nil {
-			return r, err
-		}
-		if r.Namespace, err = rd.string(); err != nil {
-			return r, err
-		}
-		if r.Key, err = rd.string(); err != nil {
-			return r, err
-		}
+		r.At = d.Uvarint()
+		r.Namespace = d.String()
+		r.Key = d.String()
 	case KindMissing:
-		if r.TxID, err = rd.string(); err != nil {
-			return r, err
-		}
-		if r.Collection, err = rd.string(); err != nil {
-			return r, err
-		}
+		r.TxID = d.String()
+		r.Collection = d.String()
 	default:
 		return r, fmt.Errorf("%w: unknown record kind %d", storage.ErrCorrupt, r.Kind)
 	}
-	if rd.pos != len(payload) {
-		return r, fmt.Errorf("%w: %d trailing bytes after record", storage.ErrCorrupt, len(payload)-rd.pos)
-	}
-	return r, nil
+	return r, d.Finish()
 }
 
 // --- writer ---
@@ -290,8 +205,8 @@ func decodeRecord(payload []byte) (Record, error) {
 type Writer struct {
 	dir        string
 	chunkBytes int
-	buf        bytes.Buffer
-	records    int // records in the open chunk
+	buf        []byte // framed records of the open chunk
+	records    int    // records in the open chunk
 	chunks     []ChunkInfo
 	counts     Counts
 }
@@ -320,16 +235,11 @@ func (w *Writer) SetChunkBytes(n int) {
 // Add appends one record, sealing the open chunk when it reaches the
 // target size.
 func (w *Writer) Add(r Record) error {
-	payload, err := encodeRecord(r)
+	body, err := encodeRecord(r)
 	if err != nil {
 		return err
 	}
-	var frame [8]byte
-	binary.LittleEndian.PutUint32(frame[:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(payload, castagnoli))
-	w.buf.Write(frame[:4])
-	w.buf.Write(payload)
-	w.buf.Write(frame[4:])
+	w.buf = storage.AppendRecord(w.buf, body)
 	w.records++
 	switch r.Kind {
 	case KindState:
@@ -341,7 +251,7 @@ func (w *Writer) Add(r Record) error {
 	case KindMissing:
 		w.counts.Missing++
 	}
-	if w.buf.Len() >= w.chunkBytes {
+	if len(w.buf) >= w.chunkBytes {
 		return w.sealChunk()
 	}
 	return nil
@@ -353,9 +263,9 @@ func (w *Writer) sealChunk() error {
 		return nil
 	}
 	name := fmt.Sprintf("chunk-%06d.snap", len(w.chunks))
-	content := make([]byte, 0, len(Magic)+w.buf.Len())
+	content := make([]byte, 0, len(Magic)+len(w.buf))
 	content = append(content, Magic...)
-	content = append(content, w.buf.Bytes()...)
+	content = append(content, w.buf...)
 	if err := os.WriteFile(filepath.Join(w.dir, name), content, 0o644); err != nil {
 		return fmt.Errorf("snapshot: write %s: %w", name, err)
 	}
@@ -366,7 +276,7 @@ func (w *Writer) sealChunk() error {
 		Bytes:   int64(len(content)),
 		SHA256:  hex.EncodeToString(sum[:]),
 	})
-	w.buf.Reset()
+	w.buf = w.buf[:0]
 	w.records = 0
 	return nil
 }
@@ -456,31 +366,21 @@ func decodeChunk(content []byte, info ChunkInfo, out []Record) ([]Record, error)
 	if len(content) < len(Magic) || string(content[:len(Magic)]) != Magic {
 		return fail("bad magic")
 	}
-	body := content[len(Magic):]
+	r := bytes.NewReader(content[len(Magic):])
 	n := 0
-	for len(body) > 0 {
-		if len(body) < 4 {
-			return fail("truncated frame header")
+	for ; ; n++ {
+		body, err := storage.ReadRecord(r)
+		if err == io.EOF {
+			break
 		}
-		plen := binary.LittleEndian.Uint32(body[:4])
-		if plen > maxRecordBytes {
-			return fail("record length %d exceeds limit", plen)
+		if err != nil {
+			return fail("record %d: %v", n, err)
 		}
-		if uint64(len(body)) < uint64(plen)+8 {
-			return fail("truncated record body")
-		}
-		payload := body[4 : 4+plen]
-		crc := binary.LittleEndian.Uint32(body[4+plen : 8+plen])
-		if crc32.Checksum(payload, castagnoli) != crc {
-			return fail("record %d CRC mismatch", n)
-		}
-		rec, err := decodeRecord(payload)
+		rec, err := decodeRecord(body)
 		if err != nil {
 			return fail("record %d: %v", n, err)
 		}
 		out = append(out, rec)
-		body = body[8+plen:]
-		n++
 	}
 	if n != info.Records {
 		return fail("%d records, manifest says %d", n, info.Records)

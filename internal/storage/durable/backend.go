@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"path/filepath"
 
-	"repro/internal/blockfile"
 	"repro/internal/storage"
 )
 
@@ -15,15 +14,15 @@ func init() {
 	})
 }
 
-// Backend is the durable storage backend of one peer. Its directory
-// layout (docs/STORAGE.md §1):
+// Backend is the durable storage backend of one peer: three segmented
+// logs (docs/STORAGE.md §1).
 //
-//	<dir>/blocks/blocks.bin   block file (internal/blockfile)
+//	<dir>/blocks/seg-*.log    block log (never compacted)
 //	<dir>/state/seg-*.log     state batch log
 //	<dir>/pvt/seg-*.log       private-data bookkeeping log
 type Backend struct {
 	dir    string
-	blocks *blockfile.Store
+	blocks *blockStore
 	state  *stateStore
 	pvt    *pvtStore
 }
@@ -38,7 +37,7 @@ func Open(opts storage.Options) (*Backend, error) {
 	if opts.Dir == "" {
 		return nil, fmt.Errorf("durable backend requires a directory (storage dir not configured)")
 	}
-	blocks, err := blockfile.Open(filepath.Join(opts.Dir, "blocks"), !opts.NoFsync)
+	blocks, err := openBlocks(filepath.Join(opts.Dir, "blocks"), opts)
 	if err != nil {
 		return nil, fmt.Errorf("durable: blocks: %w", err)
 	}
@@ -84,4 +83,4 @@ func (b *Backend) Close() error {
 func (b *Backend) InjectStateFailure(err error) { b.state.l.failWrites(err) }
 
 // InjectBlockFailure is the block-side analogue of InjectStateFailure.
-func (b *Backend) InjectBlockFailure(err error) { b.blocks.FailWrites(err) }
+func (b *Backend) InjectBlockFailure(err error) { b.blocks.l.failWrites(err) }

@@ -1,10 +1,13 @@
 package durable
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"runtime"
 	"sync"
 	"testing"
 
@@ -155,79 +158,211 @@ func TestDurableSegmentRolling(t *testing.T) {
 	}
 }
 
-func TestDurableTornTailTruncated(t *testing.T) {
-	dir := t.TempDir()
-	b := openTest(t, dir, storage.Options{})
-	for h := uint64(1); h <= 3; h++ {
-		if err := b.State().Apply(storage.StateBatch{Height: h, Records: []storage.StateRecord{
-			{Namespace: "ns", Key: "k", Value: []byte("v"), Version: h},
-		}}); err != nil {
+// testChain builds a deterministic chain of n one-transaction blocks,
+// each transaction flagged ledger.Valid.
+func testChain(n int) []*ledger.Block {
+	var out []*ledger.Block
+	var prev []byte
+	for i := 0; i < n; i++ {
+		id := fmt.Sprintf("tx%d", i)
+		tx := &ledger.Transaction{TxID: id, Proposal: &ledger.Proposal{TxID: id}, ResponsePayload: []byte(`{}`)}
+		b := ledger.NewBlock(uint64(i), prev, []*ledger.Transaction{tx})
+		b.Metadata.ValidationFlags[0] = ledger.Valid
+		prev = b.Hash()
+		out = append(out, b)
+	}
+	return out
+}
+
+var testBlocks = testChain(32)
+
+// logRow drives one of the backend's segment logs through its store, so
+// each framing and recovery test runs once per log.
+type logRow struct {
+	name   string                           // subtest name and directory under the backend root
+	write  func(b *Backend, i uint64) error // appends record i, counting from 0
+	count  func(b *Backend) uint64          // records durable in b
+	inject func(b *Backend, err error)
+}
+
+var logRows = []logRow{
+	{
+		name: "state",
+		write: func(b *Backend, i uint64) error {
+			return b.State().Apply(storage.StateBatch{Height: i + 1, Records: []storage.StateRecord{
+				{Namespace: "ns", Key: fmt.Sprintf("k%d", i), Value: make([]byte, 64), Version: i + 1},
+			}})
+		},
+		count:  func(b *Backend) uint64 { return b.State().Watermark() },
+		inject: (*Backend).InjectStateFailure,
+	},
+	{
+		name:   "blocks",
+		write:  func(b *Backend, i uint64) error { return b.Blocks().Append(testBlocks[i]) },
+		count:  func(b *Backend) uint64 { return b.Blocks().Height() },
+		inject: (*Backend).InjectBlockFailure,
+	},
+}
+
+func writeRecords(t *testing.T, b *Backend, row logRow, n uint64) {
+	t.Helper()
+	for i := uint64(0); i < n; i++ {
+		if err := row.write(b, i); err != nil {
 			t.Fatal(err)
 		}
 	}
-	b.Close()
+}
 
-	// Simulate a crash mid-append: garbage half-record at the tail of
-	// the active segment.
-	seg := filepath.Join(dir, "state", segName(1))
-	f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{0x00, 0x00, 0x01, 0xff, 0xde, 0xad}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-	before, _ := os.Stat(seg)
+func TestDurableTornTailTruncated(t *testing.T) {
+	for _, row := range logRows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openTest(t, dir, storage.Options{})
+			writeRecords(t, b, row, 3)
+			b.Close()
 
-	b2 := openTest(t, dir, storage.Options{})
-	if w := b2.State().Watermark(); w != 3 {
-		t.Fatalf("watermark = %d, want 3 (torn tail dropped, intact prefix kept)", w)
-	}
-	after, _ := os.Stat(seg)
-	if after.Size() >= before.Size() {
-		t.Fatalf("torn tail not truncated: %d -> %d bytes", before.Size(), after.Size())
-	}
-	// The store must be appendable after repair.
-	if err := b2.State().Apply(storage.StateBatch{Height: 4, Records: []storage.StateRecord{
-		{Namespace: "ns", Key: "k", Value: []byte("v4"), Version: 4},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	b2.Close()
+			// Simulate a crash mid-append: garbage half-record at the tail
+			// of the active segment.
+			seg := filepath.Join(dir, row.name, segName(1))
+			f, err := os.OpenFile(seg, os.O_APPEND|os.O_WRONLY, 0o644)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := f.Write([]byte{0x00, 0x00, 0x01, 0xff, 0xde, 0xad}); err != nil {
+				t.Fatal(err)
+			}
+			f.Close()
+			before, _ := os.Stat(seg)
 
-	b3 := openTest(t, dir, storage.Options{})
-	defer b3.Close()
-	if w := b3.State().Watermark(); w != 4 {
-		t.Fatalf("watermark after repair+append = %d, want 4", w)
+			b2 := openTest(t, dir, storage.Options{})
+			if n := row.count(b2); n != 3 {
+				t.Fatalf("count = %d, want 3 (torn tail dropped, intact prefix kept)", n)
+			}
+			after, _ := os.Stat(seg)
+			if after.Size() >= before.Size() {
+				t.Fatalf("torn tail not truncated: %d -> %d bytes", before.Size(), after.Size())
+			}
+			// The store must be appendable after repair.
+			if err := row.write(b2, 3); err != nil {
+				t.Fatal(err)
+			}
+			b2.Close()
+
+			b3 := openTest(t, dir, storage.Options{})
+			defer b3.Close()
+			if n := row.count(b3); n != 4 {
+				t.Fatalf("count after repair+append = %d, want 4", n)
+			}
+		})
 	}
 }
 
 func TestDurableSealedCorruptionRejected(t *testing.T) {
-	dir := t.TempDir()
-	b := openTest(t, dir, storage.Options{SegmentBytes: 256})
-	for h := uint64(1); h <= 20; h++ {
-		if err := b.State().Apply(storage.StateBatch{Height: h, Records: []storage.StateRecord{
-			{Namespace: "ns", Key: fmt.Sprintf("k%d", h), Value: make([]byte, 64), Version: h},
-		}}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	b.Close()
+	for _, row := range logRows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openTest(t, dir, storage.Options{SegmentBytes: 256})
+			writeRecords(t, b, row, 20)
+			b.Close()
 
-	// Flip a payload byte in the middle of the first (sealed) segment:
-	// not a torn tail, so recovery must refuse rather than repair.
-	seg := filepath.Join(dir, "state", segName(1))
-	raw, err := os.ReadFile(seg)
-	if err != nil {
-		t.Fatal(err)
+			// Flip a payload byte in the middle of the first (sealed)
+			// segment: not a torn tail, so recovery must refuse rather
+			// than repair.
+			seg := filepath.Join(dir, row.name, segName(1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			raw[len(raw)/2] ^= 0xff
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(storage.Options{Dir: dir, SegmentBytes: 256, NoBackgroundCompaction: true}); !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("open with corrupt sealed segment: got %v, want ErrCorrupt", err)
+			}
+		})
 	}
-	raw[len(raw)/2] ^= 0xff
-	if err := os.WriteFile(seg, raw, 0o644); err != nil {
-		t.Fatal(err)
+}
+
+// recordOffsets returns the file offset of every record in a segment.
+func recordOffsets(t *testing.T, seg []byte) []int {
+	t.Helper()
+	r := bytes.NewReader(seg)
+	var offs []int
+	for {
+		off := len(seg) - r.Len()
+		if _, err := storage.ReadRecord(r); err == io.EOF {
+			return offs
+		} else if err != nil {
+			t.Fatalf("segment unreadable at %d: %v", off, err)
+		}
+		offs = append(offs, off)
 	}
-	if _, err := Open(storage.Options{Dir: dir, SegmentBytes: 256, NoBackgroundCompaction: true}); !errors.Is(err, storage.ErrCorrupt) {
-		t.Fatalf("open with corrupt sealed segment: got %v, want ErrCorrupt", err)
+}
+
+// TestDurableBlockRecordTamper edits one block record on disk. The
+// validation flags sit outside every hash a block carries, so only the
+// record CRC catches an edit to them: in an interior record it is
+// corruption, in the final record a torn tail that drops that block.
+// An interior length field of 0xFFFFFFFF is corruption too, and must
+// not be allocated.
+func TestDurableBlockRecordTamper(t *testing.T) {
+	const blocks = 4
+	flag := []byte(`"validation_flags":[1`)
+	cases := []struct {
+		name   string
+		tamper func(t *testing.T, seg []byte)
+		height uint64 // after reopen; 0 means Open must fail with ErrCorrupt
+	}{
+		{"flags interior", func(t *testing.T, seg []byte) {
+			seg[bytes.Index(seg, flag)+len(flag)-1] = '3'
+		}, 0},
+		{"flags final", func(t *testing.T, seg []byte) {
+			seg[bytes.LastIndex(seg, flag)+len(flag)-1] = '3'
+		}, blocks - 1},
+		{"length interior", func(t *testing.T, seg []byte) {
+			off := recordOffsets(t, seg)[1]
+			copy(seg[off:], []byte{0xff, 0xff, 0xff, 0xff})
+		}, 0},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openTest(t, dir, storage.Options{})
+			writeRecords(t, b, logRows[1], blocks)
+			b.Close()
+
+			seg := filepath.Join(dir, "blocks", segName(1))
+			raw, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.tamper(t, raw)
+			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+				t.Fatal(err)
+			}
+
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b2, err := Open(storage.Options{Dir: dir, NoBackgroundCompaction: true})
+			runtime.ReadMemStats(&after)
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > storage.MaxRecordBytes {
+				t.Fatalf("open allocated %d bytes, more than MaxRecordBytes", grew)
+			}
+			if c.height == 0 {
+				if !errors.Is(err, storage.ErrCorrupt) {
+					t.Fatalf("open: got %v, want ErrCorrupt", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("open: %v", err)
+			}
+			defer b2.Close()
+			if h := b2.Blocks().Height(); h != c.height {
+				t.Fatalf("height = %d, want %d", h, c.height)
+			}
+		})
 	}
 }
 
@@ -326,28 +461,31 @@ func TestDurableCompactionConcurrentWithApplies(t *testing.T) {
 }
 
 func TestDurableInjectedFailureIsSticky(t *testing.T) {
-	dir := t.TempDir()
-	b := openTest(t, dir, storage.Options{})
-	if err := b.State().Apply(storage.StateBatch{Height: 1, Records: []storage.StateRecord{
-		{Namespace: "ns", Key: "k", Value: []byte("v"), Version: 1},
-	}}); err != nil {
-		t.Fatal(err)
-	}
-	boom := errors.New("injected crash")
-	b.InjectStateFailure(boom)
-	if err := b.State().Apply(storage.StateBatch{Height: 2}); !errors.Is(err, boom) {
-		t.Fatalf("apply after injection: got %v, want injected error", err)
-	}
-	if err := b.State().Apply(storage.StateBatch{Height: 3}); !errors.Is(err, boom) {
-		t.Fatalf("sticky error not sticky: %v", err)
-	}
-	b.Close()
+	for _, row := range logRows {
+		t.Run(row.name, func(t *testing.T) {
+			dir := t.TempDir()
+			b := openTest(t, dir, storage.Options{})
+			writeRecords(t, b, row, 1)
+			boom := errors.New("injected crash")
+			row.inject(b, boom)
+			if err := row.write(b, 1); !errors.Is(err, boom) {
+				t.Fatalf("write after injection: got %v, want injected error", err)
+			}
+			if err := row.write(b, 1); !errors.Is(err, boom) {
+				t.Fatalf("sticky error not sticky: %v", err)
+			}
+			if n := row.count(b); n != 1 {
+				t.Fatalf("count advanced past the failed write: %d", n)
+			}
+			b.Close()
 
-	// Reopen recovers the pre-failure durable prefix.
-	b2 := openTest(t, dir, storage.Options{})
-	defer b2.Close()
-	if w := b2.State().Watermark(); w != 1 {
-		t.Fatalf("watermark = %d, want 1", w)
+			// Reopen recovers the pre-failure durable prefix.
+			b2 := openTest(t, dir, storage.Options{})
+			defer b2.Close()
+			if n := row.count(b2); n != 1 {
+				t.Fatalf("count after reopen = %d, want 1", n)
+			}
+		})
 	}
 }
 
@@ -414,51 +552,140 @@ func TestDurablePvtCompaction(t *testing.T) {
 	}
 }
 
+// TestDurableBlocksThroughBackend: the block log reads back what was
+// appended and keeps appending after a read or a reopen, chains of
+// several lengths reopen hash-identical, an append that does not extend
+// the chain is typed ErrCorrupt, and a snapshot base survives a reopen
+// with the chain linked to it.
 func TestDurableBlocksThroughBackend(t *testing.T) {
-	dir := t.TempDir()
-	b := openTest(t, dir, storage.Options{})
-	b0 := ledger.NewBlock(0, nil, nil)
-	b1 := ledger.NewBlock(1, b0.Hash(), nil)
-	if err := b.Blocks().Append(b0); err != nil {
-		t.Fatal(err)
-	}
-	if err := b.Blocks().Append(b1); err != nil {
-		t.Fatal(err)
-	}
-	b.Close()
+	t.Run("append_and_read_all", func(t *testing.T) {
+		b := openTest(t, t.TempDir(), storage.Options{})
+		defer b.Close()
+		writeRecords(t, b, logRows[1], 3)
+		if h := b.Blocks().Height(); h != 3 {
+			t.Fatalf("height = %d, want 3", h)
+		}
+		blocks, err := b.Blocks().ReadAll()
+		if err != nil || len(blocks) != 3 {
+			t.Fatalf("ReadAll = %d blocks, err %v; want 3", len(blocks), err)
+		}
+		for i, blk := range blocks {
+			if blk.Header.Number != uint64(i) || blk.Transactions[0].TxID != testBlocks[i].Transactions[0].TxID {
+				t.Fatalf("block %d read back as number %d tx %q", i, blk.Header.Number, blk.Transactions[0].TxID)
+			}
+		}
+		// Appending continues after a full read.
+		if err := b.Blocks().Append(testBlocks[3]); err != nil {
+			t.Fatalf("append after ReadAll: %v", err)
+		}
+	})
 
-	b2 := openTest(t, dir, storage.Options{})
-	defer b2.Close()
-	if h := b2.Blocks().Height(); h != 2 {
-		t.Fatalf("block height after reopen = %d, want 2", h)
+	t.Run("reopen_preserves_height", func(t *testing.T) {
+		dir := t.TempDir()
+		b := openTest(t, dir, storage.Options{})
+		writeRecords(t, b, logRows[1], 2)
+		b.Close()
+
+		b2 := openTest(t, dir, storage.Options{})
+		defer b2.Close()
+		if h := b2.Blocks().Height(); h != 2 {
+			t.Fatalf("reopened height = %d, want 2", h)
+		}
+		// New appends continue the chain.
+		if err := b2.Blocks().Append(testBlocks[2]); err != nil {
+			t.Fatalf("append after reopen: %v", err)
+		}
+	})
+
+	t.Run("persist_reload", func(t *testing.T) {
+		for _, n := range []int{1, 2, 5, 12} {
+			dir := t.TempDir()
+			b := openTest(t, dir, storage.Options{})
+			writeRecords(t, b, logRows[1], uint64(n))
+			b.Close()
+
+			b2 := openTest(t, dir, storage.Options{})
+			if h := b2.Blocks().Height(); h != uint64(n) {
+				t.Fatalf("block height after reopen = %d, want %d", h, n)
+			}
+			blocks, err := b2.Blocks().ReadAll()
+			if err != nil || len(blocks) != n {
+				t.Fatalf("ReadAll = %d blocks, err %v; want %d", len(blocks), err, n)
+			}
+			for i, blk := range blocks {
+				if !bytes.Equal(blk.Hash(), testBlocks[i].Hash()) {
+					t.Fatalf("block %d changed across reopen", i)
+				}
+			}
+			b2.Close()
+		}
+	})
+
+	// An append that skips ahead of the height, by one block or by
+	// several, is rejected as corruption and leaves the store empty.
+	for _, c := range []struct {
+		name string
+		next int
+	}{{"gap_rejected", 1}, {"out_of_order_typed", 5}} {
+		t.Run(c.name, func(t *testing.T) {
+			b := openTest(t, t.TempDir(), storage.Options{})
+			defer b.Close()
+			if err := b.Blocks().Append(testBlocks[c.next]); !errors.Is(err, storage.ErrCorrupt) {
+				t.Fatalf("append of block %d to an empty store: got %v, want ErrCorrupt", c.next, err)
+			}
+			if h := b.Blocks().Height(); h != 0 {
+				t.Fatalf("height advanced past the rejected append: %d", h)
+			}
+		})
 	}
-	blocks, err := b2.Blocks().ReadAll()
-	if err != nil || len(blocks) != 2 {
-		t.Fatalf("ReadAll = %d blocks, err %v", len(blocks), err)
-	}
+
+	t.Run("base_across_reopen", func(t *testing.T) {
+		dir := t.TempDir()
+		b := openTest(t, dir, storage.Options{})
+		baseHash := testBlocks[4].Hash()
+		for i := 0; i < 2; i++ { // a repeated install is a no-op
+			if err := b.Blocks().InstallBase(5, baseHash); err != nil {
+				t.Fatalf("InstallBase #%d: %v", i+1, err)
+			}
+		}
+		if err := b.Blocks().InstallBase(6, testBlocks[5].Hash()); err == nil {
+			t.Fatal("re-basing to another height succeeded")
+		}
+		for _, blk := range testBlocks[5:7] {
+			if err := b.Blocks().Append(blk); err != nil {
+				t.Fatal(err)
+			}
+		}
+		b.Close()
+
+		b2 := openTest(t, dir, storage.Options{})
+		defer b2.Close()
+		if base, hash := b2.Blocks().Base(); base != 5 || !bytes.Equal(hash, baseHash) {
+			t.Fatalf("Base after reopen = %d %x, want 5 %x", base, hash, baseHash)
+		}
+		if h := b2.Blocks().Height(); h != 7 {
+			t.Fatalf("based height after reopen = %d, want 7", h)
+		}
+		if blocks, err := b2.Blocks().ReadAll(); err != nil || len(blocks) != 2 || blocks[0].Header.Number != 5 {
+			t.Fatalf("ReadAll over a base = %d blocks, err %v; want blocks 5 and 6", len(blocks), err)
+		}
+	})
 }
 
 // TestDurableNoFsyncCoversBlockFile: storage.Options.NoFsync reaches the
-// block file as it does the state and private logs — a no-fsync backend
+// block log as it does the state and private logs — a no-fsync backend
 // issues no fsync per appended block, the default exactly one.
 func TestDurableNoFsyncCoversBlockFile(t *testing.T) {
 	for _, noFsync := range []bool{false, true} {
 		b := openTest(t, t.TempDir(), storage.Options{NoFsync: noFsync})
 		const blocks = 3
-		var prev []byte
-		for i := uint64(0); i < blocks; i++ {
-			blk := ledger.NewBlock(i, prev, nil)
-			if err := b.Blocks().Append(blk); err != nil {
-				t.Fatal(err)
-			}
-			prev = blk.Hash()
-		}
+		writeRecords(t, b, logRows[1], blocks)
 		want := uint64(blocks)
 		if noFsync {
 			want = 0
 		}
-		if got := b.blocks.Syncs(); got != want {
-			t.Errorf("NoFsync=%v: %d block-file fsyncs for %d blocks, want %d", noFsync, got, blocks, want)
+		if got := b.blocks.l.syncs; got != want {
+			t.Errorf("NoFsync=%v: %d block-log fsyncs for %d blocks, want %d", noFsync, got, blocks, want)
 		}
 		b.Close()
 	}

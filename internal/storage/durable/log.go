@@ -9,10 +9,8 @@
 package durable
 
 import (
-	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"io"
 	"os"
 	"path/filepath"
@@ -23,21 +21,8 @@ import (
 	"repro/internal/storage"
 )
 
-// Record framing (docs/STORAGE.md §2):
-//
-//	offset  size  field
-//	0       4     length N of the body, big-endian uint32
-//	4       4     CRC-32C (Castagnoli) of the body, big-endian uint32
-//	8       N     body: 1 type byte followed by the payload
-//
-// A record is valid iff the 8-byte header fits, 1 <= N <=
-// maxRecordBytes, the body fits, and the CRC matches.
-const (
-	frameHeaderLen = 8
-	// maxRecordBytes bounds a single record body; anything larger in a
-	// length field is treated as corruption.
-	maxRecordBytes = 64 << 20
-)
+// Every record is one storage.AppendRecord frame whose body is 1 type
+// byte followed by the payload (docs/STORAGE.md §2).
 
 // DefaultSegmentBytes is the active-segment size cap before sealing.
 const DefaultSegmentBytes = 4 << 20
@@ -45,8 +30,6 @@ const DefaultSegmentBytes = 4 << 20
 // DefaultCompactGarbageRatio triggers compaction when sealed segments
 // are more than half superseded bytes.
 const DefaultCompactGarbageRatio = 0.5
-
-var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
 // log is one append-only segmented record log: a directory of
 // seg-%08d.log files of which the highest-numbered is the active (write)
@@ -74,7 +57,8 @@ type log struct {
 	writeSeq uint64 // written under mu, read atomically
 	syncMu   sync.Mutex
 	syncSeq  uint64
-	syncErr  error // sticky: the log is broken after a failed fsync
+	syncErr  error  // sticky: the log is broken after a failed fsync
+	syncs    uint64 // fsyncs of segment data, under syncMu
 
 	// compactMu serializes compactions.
 	compactMu sync.Mutex
@@ -148,11 +132,11 @@ func (l *log) listSegments() ([]uint64, error) {
 }
 
 // replaySegment scans one segment, calling fn per intact record, and
-// returns the number of valid bytes. In the last (active) segment a
-// record that fails framing or CRC marks a torn tail: the file is
-// truncated to the last intact record and the scan stops. Anywhere else
-// the same failure is corruption.
-func (l *log) replaySegment(id uint64, last bool, fn func(recType byte, payload []byte) error) (int64, error) {
+// returns the number of valid bytes. With repair set (the last segment,
+// at open) a bad record that runs to the end of the file is a torn tail:
+// the file is truncated to the last intact record. Any other bad record
+// is corruption (docs/STORAGE.md §6).
+func (l *log) replaySegment(id uint64, repair bool, fn func(recType byte, payload []byte) error) (int64, error) {
 	path := l.segPath(id)
 	f, err := os.Open(path)
 	if err != nil {
@@ -161,65 +145,55 @@ func (l *log) replaySegment(id uint64, last bool, fn func(recType byte, payload 
 	defer f.Close()
 
 	var offset int64
-	header := make([]byte, frameHeaderLen)
 	for {
-		_, err := io.ReadFull(f, header)
+		body, err := storage.ReadRecord(f)
 		if err == io.EOF {
-			return offset, nil // clean end
+			return offset, nil
 		}
-		bad := ""
-		var body []byte
-		switch {
-		case err != nil:
-			bad = "short header"
-		default:
-			n := binary.BigEndian.Uint32(header[0:4])
-			if n == 0 || n > maxRecordBytes {
-				bad = fmt.Sprintf("implausible length %d", n)
-				break
+		if errors.Is(err, storage.ErrCorrupt) {
+			if !repair || !atEOF(f) {
+				return 0, fmt.Errorf("%w at %s+%d", err, filepath.Base(path), offset)
 			}
-			body = make([]byte, n)
-			if _, err := io.ReadFull(f, body); err != nil {
-				bad = "short body"
-				break
-			}
-			if crc32.Checksum(body, castagnoli) != binary.BigEndian.Uint32(header[4:8]) {
-				bad = "crc mismatch"
-			}
-		}
-		if bad != "" {
-			if !last {
-				return 0, fmt.Errorf("%w: %s at %s+%d", storage.ErrCorrupt, bad, filepath.Base(path), offset)
-			}
-			// Torn tail: drop everything from the first bad record on.
 			if err := os.Truncate(path, offset); err != nil {
 				return 0, fmt.Errorf("%w: truncate torn tail of %s: %v", storage.ErrIO, path, err)
 			}
 			return offset, nil
 		}
+		if err != nil {
+			return 0, fmt.Errorf("%s+%d: %w", filepath.Base(path), offset, err)
+		}
 		if err := fn(body[0], body[1:]); err != nil {
 			return 0, err
 		}
-		offset += frameHeaderLen + int64(len(body))
+		offset += storage.RecordHeaderLen + int64(len(body))
 	}
+}
+
+// atEOF reports whether f's read position is at the end of the file, i.e.
+// whether the record that just failed was the last thing in the segment.
+func atEOF(f *os.File) bool {
+	pos, err := f.Seek(0, io.SeekCurrent)
+	if err != nil {
+		return false
+	}
+	fi, err := f.Stat()
+	return err == nil && pos >= fi.Size()
 }
 
 // frame renders one record.
 func frame(recType byte, payload []byte) []byte {
-	body := make([]byte, 1+len(payload))
-	body[0] = recType
-	copy(body[1:], payload)
-	buf := make([]byte, frameHeaderLen+len(body))
-	binary.BigEndian.PutUint32(buf[0:4], uint32(len(body)))
-	binary.BigEndian.PutUint32(buf[4:8], crc32.Checksum(body, castagnoli))
-	copy(buf[frameHeaderLen:], body)
-	return buf
+	body := make([]byte, 0, 1+len(payload))
+	body = append(append(body, recType), payload...)
+	return storage.AppendRecord(nil, body)
 }
 
 // append writes one record and group-commits it: the call returns once
 // the record is fsynced, sharing the fsync with every append completed
 // before the sync started.
 func (l *log) append(recType byte, payload []byte) error {
+	if 1+len(payload) > storage.MaxRecordBytes {
+		return fmt.Errorf("durable: record of %d bytes exceeds the %d-byte limit", 1+len(payload), storage.MaxRecordBytes)
+	}
 	buf := frame(recType, payload)
 
 	l.mu.Lock()
@@ -274,6 +248,7 @@ func (l *log) syncTo(f *os.File, seq uint64) error {
 	// fsync starts.
 	covered := atomic.LoadUint64(&l.writeSeq)
 	if l.fsync {
+		l.syncs++
 		if err := f.Sync(); err != nil {
 			l.syncErr = fmt.Errorf("%w: fsync: %v", storage.ErrIO, err)
 			return l.syncErr
@@ -288,6 +263,7 @@ func (l *log) syncTo(f *os.File, seq uint64) error {
 func (l *log) sealLocked() error {
 	l.syncMu.Lock()
 	if l.fsync {
+		l.syncs++
 		if err := l.active.Sync(); err != nil {
 			l.syncMu.Unlock()
 			return fmt.Errorf("%w: seal fsync: %v", storage.ErrIO, err)
@@ -330,10 +306,15 @@ func (l *log) syncDir() error {
 
 // replayAll re-scans every segment, sealed and active, in order. The
 // caller must guarantee no concurrent appends (it backs Load, which by
-// contract runs once on a freshly opened store before any append), so
-// the scan never truncates: any framing failure is corruption.
+// contract runs once on a freshly opened store before any append, and
+// the block store's ReadAll, which holds off its appends), so the scan
+// never truncates: any framing failure is corruption.
 func (l *log) replayAll(fn func(recType byte, payload []byte) error) error {
 	l.mu.Lock()
+	if l.closed {
+		l.mu.Unlock()
+		return storage.ErrClosed
+	}
 	ids := append(append([]uint64(nil), l.sealed...), l.activeID)
 	l.mu.Unlock()
 	for _, id := range ids {

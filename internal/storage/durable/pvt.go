@@ -51,16 +51,17 @@ func openPvt(dir string, opts storage.Options) (*pvtStore, error) {
 }
 
 func (s *pvtStore) replayRecord(recType byte, payload []byte) error {
-	d := decoder{buf: payload}
+	d := storage.NewDecoder(payload)
+	var err error
 	switch recType {
 	case recPurgeSchedule:
-		e := storage.PurgeEntry{At: d.uvarint(), Namespace: string(d.lenPrefixed()), Key: string(d.lenPrefixed())}
-		if d.err == nil {
+		e := storage.PurgeEntry{At: d.Uvarint(), Namespace: d.String(), Key: d.String()}
+		if err = d.Finish(); err == nil {
 			s.purges[e] = true
 		}
 	case recPurgeComplete:
-		upTo := d.uvarint()
-		if d.err == nil {
+		upTo := d.Uvarint()
+		if err = d.Finish(); err == nil {
 			for e := range s.purges {
 				if e.At <= upTo {
 					delete(s.purges, e)
@@ -68,33 +69,33 @@ func (s *pvtStore) replayRecord(recType byte, payload []byte) error {
 			}
 		}
 	case recMissing:
-		e := storage.MissingEntry{TxID: string(d.lenPrefixed()), Collection: string(d.lenPrefixed())}
-		if d.err == nil {
+		e := storage.MissingEntry{TxID: d.String(), Collection: d.String()}
+		if err = d.Finish(); err == nil {
 			s.missing[e] = true
 		}
 	case recMissingDone:
-		e := storage.MissingEntry{TxID: string(d.lenPrefixed()), Collection: string(d.lenPrefixed())}
-		if d.err == nil {
+		e := storage.MissingEntry{TxID: d.String(), Collection: d.String()}
+		if err = d.Finish(); err == nil {
 			delete(s.missing, e)
 		}
 	default:
 		return fmt.Errorf("%w: unknown pvt record type 0x%02x", storage.ErrCorrupt, recType)
 	}
-	if d.err != nil {
-		return fmt.Errorf("%w: pvt record 0x%02x: %v", storage.ErrCorrupt, recType, d.err)
+	if err != nil {
+		return fmt.Errorf("pvt record 0x%02x: %w", recType, err)
 	}
 	return nil
 }
 
 func encodePurge(e storage.PurgeEntry) []byte {
 	buf := binary.AppendUvarint(nil, e.At)
-	buf = appendLenPrefixed(buf, []byte(e.Namespace))
-	return appendLenPrefixed(buf, []byte(e.Key))
+	buf = storage.AppendString(buf, e.Namespace)
+	return storage.AppendString(buf, e.Key)
 }
 
 func encodeMissing(e storage.MissingEntry) []byte {
-	buf := appendLenPrefixed(nil, []byte(e.TxID))
-	return appendLenPrefixed(buf, []byte(e.Collection))
+	buf := storage.AppendString(nil, e.TxID)
+	return storage.AppendString(buf, e.Collection)
 }
 
 func (s *pvtStore) SchedulePurge(e storage.PurgeEntry) error {

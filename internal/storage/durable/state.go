@@ -273,92 +273,39 @@ func encodeBatch(b storage.StateBatch) []byte {
 	buf := binary.AppendUvarint(nil, b.Height)
 	buf = binary.AppendUvarint(buf, uint64(len(b.Records)))
 	for _, r := range b.Records {
-		buf = appendLenPrefixed(buf, []byte(r.Namespace))
-		buf = appendLenPrefixed(buf, []byte(r.Key))
+		buf = storage.AppendString(buf, r.Namespace)
+		buf = storage.AppendString(buf, r.Key)
 		buf = binary.AppendUvarint(buf, r.Version)
 		var flags byte
 		if r.Delete {
 			flags = 1
 		}
 		buf = append(buf, flags)
-		buf = appendLenPrefixed(buf, r.Value)
+		buf = storage.AppendBytes(buf, r.Value)
 	}
 	return buf
 }
 
 func decodeBatch(payload []byte) (storage.StateBatch, error) {
-	d := decoder{buf: payload}
+	d := storage.NewDecoder(payload)
 	var b storage.StateBatch
-	b.Height = d.uvarint()
-	n := d.uvarint()
+	b.Height = d.Uvarint()
+	n := d.Uvarint()
 	if n > uint64(len(payload)) { // each record takes >= 1 byte
 		return b, fmt.Errorf("%w: state batch claims %d records in %d bytes", storage.ErrCorrupt, n, len(payload))
 	}
 	b.Records = make([]storage.StateRecord, 0, n)
 	for i := uint64(0); i < n; i++ {
 		var r storage.StateRecord
-		r.Namespace = string(d.lenPrefixed())
-		r.Key = string(d.lenPrefixed())
-		r.Version = d.uvarint()
-		r.Delete = d.byte()&1 != 0
-		r.Value = append([]byte(nil), d.lenPrefixed()...)
+		r.Namespace = d.String()
+		r.Key = d.String()
+		r.Version = d.Uvarint()
+		r.Delete = d.Byte()&1 != 0
+		r.Value = append([]byte(nil), d.Bytes()...)
 		b.Records = append(b.Records, r)
 	}
-	if d.err != nil {
-		return storage.StateBatch{}, fmt.Errorf("%w: state batch: %v", storage.ErrCorrupt, d.err)
+	if err := d.Finish(); err != nil {
+		return storage.StateBatch{}, fmt.Errorf("state batch: %w", err)
 	}
 	return b, nil
-}
-
-func appendLenPrefixed(buf, b []byte) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b)))
-	return append(buf, b...)
-}
-
-// decoder is a cursor over a record payload with sticky error handling:
-// after the first malformed field every further read yields zero values
-// and the caller checks err once at the end.
-type decoder struct {
-	buf []byte
-	err error
-}
-
-func (d *decoder) uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = fmt.Errorf("bad uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-func (d *decoder) byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = fmt.Errorf("short payload")
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-func (d *decoder) lenPrefixed() []byte {
-	n := d.uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("length %d exceeds remaining %d", n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n]
-	d.buf = d.buf[n:]
-	return b
 }

@@ -50,8 +50,6 @@ type memBlockStore struct {
 	blocks   []*ledger.Block
 }
 
-var _ BaseBlockStore = (*memBlockStore)(nil)
-
 func (s *memBlockStore) Append(b *ledger.Block) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()

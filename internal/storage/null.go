@@ -30,6 +30,8 @@ type nullBlocks struct{}
 func (nullBlocks) Append(*ledger.Block) error        { return nil }
 func (nullBlocks) Height() uint64                    { return 0 }
 func (nullBlocks) ReadAll() ([]*ledger.Block, error) { return nil, nil }
+func (nullBlocks) InstallBase(uint64, []byte) error  { return nil }
+func (nullBlocks) Base() (uint64, []byte)            { return 0, nil }
 func (nullBlocks) Close() error                      { return nil }
 
 type nullState struct{}

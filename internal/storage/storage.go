@@ -8,9 +8,10 @@
 //     code paths as the durable backend, nothing on disk. The test
 //     default for restart-shaped tests that should not touch the
 //     filesystem.
-//   - "durable" — append-only segment files with CRC-framed records,
-//     group-commit fsync, crash-recovery replay on open and background
-//     compaction (internal/storage/durable; spec in docs/STORAGE.md).
+//   - "durable" — append-only segment files of records in the one disk
+//     frame (record.go), group-commit fsync, crash-recovery replay on
+//     open and background compaction (internal/storage/durable; spec in
+//     docs/STORAGE.md).
 //   - "null"    — discards every write; Load replays nothing. Used to
 //     measure the cost of the persistence hooks themselves.
 //
@@ -99,33 +100,27 @@ type StateStore interface {
 	Close() error
 }
 
-// BlockStore persists the blockchain. internal/blockfile implements it
-// directly; the in-memory chain (ledger.BlockStore) remains the peer's
-// runtime read path.
+// BlockStore persists the blockchain; the in-memory chain
+// (ledger.BlockStore) remains the peer's runtime read path.
 type BlockStore interface {
 	// Append durably adds the next block (blocks arrive in order).
 	Append(b *ledger.Block) error
-	// Height is the number of durable blocks.
+	// Height is the number of the next block to append: the base plus
+	// the number of durable blocks.
 	Height() uint64
 	// ReadAll returns every stored block in order, validating framing
 	// and hash linkage.
 	ReadAll() ([]*ledger.Block, error)
-	Close() error
-}
-
-// BaseBlockStore is an optional extension of BlockStore for backends
-// that support snapshot installs: the store is told it begins at
-// `height` (prevHash = hash of block height-1) instead of 0, so a
-// snapshot-bootstrapped peer's durable chain holds only blocks from the
-// install point. Append numbering and Height then count from the base.
-// InstallBase on an already-based empty store with the same parameters
-// is a no-op, so a crashed install can be retried.
-type BaseBlockStore interface {
-	BlockStore
+	// InstallBase tells an empty store it begins at height (prevHash =
+	// hash of block height-1) instead of 0, so a snapshot-bootstrapped
+	// peer's durable chain holds only blocks from the install point.
+	// Repeating it with the same parameters is a no-op, so a crashed
+	// install can be retried.
 	InstallBase(height uint64, prevHash []byte) error
 	// Base returns the first block number the store holds and the hash
 	// of its predecessor (0, nil for a genesis store).
 	Base() (uint64, []byte)
+	Close() error
 }
 
 // PurgeEntry is one scheduled BlockToLive purge: the private entry
