@@ -105,9 +105,9 @@ type SecurityConfig struct {
 	StorageNoFsync bool
 
 	// DedupCacheSize caps the validator's sharded duplicate-TxID cache
-	// (internal/dedup), which rejects replayed submissions before
-	// endorsement-signature verification without taking the block
-	// store's global lock. 0 selects dedup.DefaultCapacity; negative
+	// (internal/validator/dedup.go), which rejects replayed submissions
+	// before endorsement-signature verification without taking the block
+	// store's global lock. 0 selects 64Ki transaction IDs; negative
 	// disables the cache (every replay check goes to the block store).
 	DedupCacheSize int
 

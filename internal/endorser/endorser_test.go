@@ -263,11 +263,14 @@ func TestRWSetsEmbeddedHashed(t *testing.T) {
 	if rwset.Classify(set) != rwset.TxWriteOnly {
 		t.Fatalf("classified %v", rwset.Classify(set))
 	}
-	// The read/write set never contains the cleartext — but the
-	// Response.Payload does (Use Case 3: the chaincode returned it),
+	// The read/write set never contains the cleartext — but the signed
+	// payload does, verbatim (Use Case 3: the chaincode returned it),
 	// which is exactly the exposure the paper analyzes.
 	if bytes.Contains(prp.Results, []byte("secret")) {
 		t.Fatal("cleartext leaked into the hashed rwset")
+	}
+	if !bytes.Contains(resp.Payload, []byte("secret")) {
+		t.Fatal("signed payload does not carry the returned value verbatim")
 	}
 	if string(prp.Response.Payload) != "secret" {
 		t.Fatal("payload exposure (Use Case 3) not present without Feature 2")

@@ -107,16 +107,30 @@ func TestBlockChaining(t *testing.T) {
 	}
 }
 
+// TestBlockClone pins what Clone promises: the clone owns its validation
+// flags and its transaction list, and shares everything immutable — the
+// header and the transactions themselves.
 func TestBlockClone(t *testing.T) {
-	b := NewBlock(0, nil, []*Transaction{testTx("a")})
+	b := NewBlock(0, nil, []*Transaction{testTx("a"), testTx("b")})
 	cp := b.Clone()
 	cp.Metadata.ValidationFlags[0] = MVCCConflict
-	cp.Transactions[0].TxID = "other"
 	if b.Metadata.ValidationFlags[0] == MVCCConflict {
 		t.Fatal("clone shares metadata")
 	}
-	if b.Transactions[0].TxID == "other" {
-		t.Fatal("clone shares transactions")
+	for i, tx := range cp.Transactions {
+		if tx != b.Transactions[i] {
+			t.Fatalf("clone copied transaction %d", i)
+		}
+	}
+	cp.Transactions[1] = testTx("c")
+	if b.Transactions[1].TxID != "b" {
+		t.Fatal("clone shares the transaction list")
+	}
+	if !bytes.Equal(cp.Hash(), b.Hash()) {
+		t.Fatal("clone hashes differently")
+	}
+	if empty := NewBlock(1, nil, nil).Clone(); empty.Transactions != nil || len(empty.Metadata.ValidationFlags) != 0 {
+		t.Fatalf("clone of an empty block = %+v", empty)
 	}
 }
 
@@ -326,15 +340,15 @@ func TestTransactionBytesMemoized(t *testing.T) {
 	}
 }
 
-// TestTransactionCloneGetsColdCache: a block clone's transactions are
-// independent of the original's memoized serialization.
-func TestTransactionCloneGetsColdCache(t *testing.T) {
-	tx := testTx("cold")
-	orig := append([]byte(nil), tx.Bytes()...)
-	b := NewBlock(0, nil, []*Transaction{tx})
-	clone := b.Clone()
-	if !bytes.Equal(clone.Transactions[0].Bytes(), orig) {
-		t.Fatal("cloned transaction serializes differently")
+// TestBlockCloneSharesTransactionCache: a block clone serves each
+// transaction's memoized serialization instead of re-encoding it, and
+// still verifies against the data hash.
+func TestBlockCloneSharesTransactionCache(t *testing.T) {
+	tx := testTx("warm")
+	orig := tx.Bytes()
+	clone := NewBlock(0, nil, []*Transaction{tx}).Clone()
+	if got := clone.Transactions[0].Bytes(); &got[0] != &orig[0] {
+		t.Fatal("cloned transaction re-serialized instead of sharing the cache")
 	}
 	if !clone.VerifyDataHash() {
 		t.Fatal("clone data hash broken")

@@ -1,7 +1,7 @@
-// Package ledger defines the wire formats of the Fabric reproduction —
+// Package ledger defines the ledger objects of the Fabric reproduction —
 // proposals, proposal responses, endorsements, transactions and blocks,
-// mirroring the block structure of the paper's Fig. 3 — together with the
-// per-peer block store.
+// mirroring the block structure of the paper's Fig. 3 — their one
+// canonical encoding (encoding.go), and the per-peer block store.
 //
 // A transaction carries four parts: the transaction header, the proposal,
 // the proposal-response (whose Response holds the plaintext "payload"
@@ -11,10 +11,11 @@ package ledger
 
 import (
 	"crypto/rand"
-	"encoding/json"
 	"fmt"
+	"slices"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/fabcrypto"
 	"repro/internal/rwset"
 )
@@ -23,19 +24,20 @@ import (
 // function (paper §II-B1: client identity, target chaincode ID, function
 // name and parameters).
 type Proposal struct {
-	TxID      string   `json:"tx_id"`
-	ChannelID string   `json:"channel_id"`
-	Chaincode string   `json:"chaincode"`
-	Function  string   `json:"function"`
-	Args      []string `json:"args,omitempty"`
+	TxID      string
+	ChannelID string
+	Chaincode string
+	Function  string
+	Args      []string
 	// Creator is the serialized certificate of the submitting client.
-	Creator []byte `json:"creator"`
+	Creator []byte
 	// Nonce makes the TxID unique.
-	Nonce []byte `json:"nonce"`
+	Nonce []byte
 	// Transient carries confidential inputs (e.g. private values to
 	// write) that must reach the chaincode without ever entering the
-	// transaction; mirrors Fabric's transient map.
-	Transient map[string][]byte `json:"-"`
+	// transaction; mirrors Fabric's transient map. AppendProposal leaves
+	// it out.
+	Transient map[string][]byte
 }
 
 // NewTxID derives the transaction ID from a nonce and the creator's
@@ -53,23 +55,13 @@ func NewNonce() ([]byte, error) {
 	return n, nil
 }
 
-// Bytes returns the canonical serialization of the proposal (excluding the
-// transient map, which never leaves the endorsement path).
-func (p *Proposal) Bytes() []byte {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal proposal: %v", err))
-	}
-	return b
-}
-
 // Response is the chaincode function's reply to the client: the paper's
 // Use Case 3. Payload carries whatever the function returns — for PDC
 // reads typically the private value itself, in plaintext.
 type Response struct {
-	Status  int32  `json:"status"`
-	Message string `json:"message,omitempty"`
-	Payload []byte `json:"payload,omitempty"`
+	Status  int32
+	Message string
+	Payload []byte
 }
 
 // Response status values.
@@ -83,39 +75,34 @@ const (
 // transaction and are therefore plaintext in every peer's blockchain —
 // the same exposure class as the Response payload of Use Case 3.
 type ChaincodeEvent struct {
-	Name    string `json:"name"`
-	Payload []byte `json:"payload,omitempty"`
+	Name    string
+	Payload []byte
 }
 
 // ProposalResponsePayload is the part of a proposal response that
 // endorsers sign and that ends up inside the transaction: the chaincode
 // Response plus the (hashed, for PDC) read/write sets.
 type ProposalResponsePayload struct {
-	TxID      string   `json:"tx_id"`
-	Chaincode string   `json:"chaincode"`
-	Response  Response `json:"response"`
+	TxID      string
+	Chaincode string
+	Response  Response
 	// Results is the marshaled rwset.TxRWSet.
-	Results []byte `json:"results"`
+	Results []byte
 	// Event is the chaincode event, if one was set during simulation.
-	Event *ChaincodeEvent `json:"event,omitempty"`
+	Event *ChaincodeEvent
 }
 
 // Bytes returns the canonical serialization signed by endorsers.
-func (p *ProposalResponsePayload) Bytes() []byte {
-	b, err := json.Marshal(p)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal prp: %v", err))
-	}
-	return b
-}
+func (p *ProposalResponsePayload) Bytes() []byte { return appendPayload(nil, p) }
 
 // ParseProposalResponsePayload decodes a payload serialized with Bytes.
 func ParseProposalResponsePayload(b []byte) (*ProposalResponsePayload, error) {
-	var p ProposalResponsePayload
-	if err := json.Unmarshal(b, &p); err != nil {
+	r := codec.NewReader(b)
+	p := readPayload(&r)
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("ledger: parse prp: %w", err)
 	}
-	return &p, nil
+	return p, nil
 }
 
 // RWSet unmarshals the Results field.
@@ -140,10 +127,10 @@ func (p *ProposalResponsePayload) HashedPayloadForm() *ProposalResponsePayload {
 // together with the endorser's certificate.
 type Endorsement struct {
 	// Endorser is the serialized certificate of the endorsing peer.
-	Endorser []byte `json:"endorser"`
+	Endorser []byte
 	// Signature covers the ProposalResponsePayload bytes carried by the
 	// transaction.
-	Signature []byte `json:"signature"`
+	Signature []byte
 }
 
 // ProposalResponse is what an endorser returns to the client.
@@ -151,40 +138,40 @@ type ProposalResponse struct {
 	// Payload is the serialized ProposalResponsePayload the endorsement
 	// signature covers. Under defense Feature 2 this is the hashed
 	// (PR_Hash) form.
-	Payload []byte `json:"payload"`
+	Payload []byte
 	// PlainPayload, set only under defense Feature 2, is the serialized
 	// original (PR_Ori) form, returned so the client still receives the
 	// plaintext value it asked for. It is NOT covered by the signature
 	// and never enters the transaction.
-	PlainPayload []byte `json:"plain_payload,omitempty"`
+	PlainPayload []byte
 	// Response echoes the chaincode response for client convenience.
-	Response Response `json:"response"`
+	Response Response
 	// Endorsement is the endorser's signature over Payload.
-	Endorsement Endorsement `json:"endorsement"`
+	Endorsement Endorsement
 }
 
 // Transaction is the unit of the blockchain: header fields, the original
 // proposal, one agreed-upon proposal response payload and the collected
 // endorsements (Fig. 3).
 type Transaction struct {
-	TxID      string `json:"tx_id"`
-	ChannelID string `json:"channel_id"`
+	TxID      string
+	ChannelID string
 	// Creator is the submitting client's serialized certificate.
-	Creator []byte `json:"creator"`
+	Creator []byte
 	// Proposal echoes the endorsed proposal.
-	Proposal *Proposal `json:"proposal"`
+	Proposal *Proposal
 	// ResponsePayload is the serialized ProposalResponsePayload all
 	// endorsers agreed on (and signed).
-	ResponsePayload []byte `json:"response_payload"`
+	ResponsePayload []byte
 	// Endorsements are the collected endorser signatures.
-	Endorsements []Endorsement `json:"endorsements"`
+	Endorsements []Endorsement
 
 	// encOnce/enc memoize Bytes. A transaction is serialized repeatedly
 	// on the hot path — once for its raft entry, then once per block
-	// data-hash computation and re-hash during validation — but its
-	// canonical form is fixed from the first serialization on, so the
-	// marshal runs once. JSON ignores unexported fields, so clones and
-	// re-parses start with a cold cache.
+	// data-hash computation, wire block event and blocks-log record — but
+	// its canonical form is fixed from the first serialization on, so the
+	// marshal runs once. Block clones share the transaction and so the
+	// cache; ParseTransaction seeds it with the parsed bytes.
 	encOnce sync.Once
 	enc     []byte
 }
@@ -202,25 +189,20 @@ func (t *Transaction) Bytes() []byte {
 
 // marshal serializes the transaction's current content, bypassing the
 // memoized cache.
-func (t *Transaction) marshal() []byte {
-	b, err := json.Marshal(t)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal tx: %v", err))
-	}
-	return b
-}
+func (t *Transaction) marshal() []byte { return appendTransaction(nil, t) }
 
-// ParseTransaction decodes a transaction serialized with Bytes. The wire
-// form seeds the serialization cache: re-marshaling a transaction we
-// ourselves serialized yields the same bytes, so the copy stands in for
-// the canonical form without a marshal.
+// ParseTransaction decodes a transaction serialized with Bytes. The input
+// seeds the serialization cache: the encoding is canonical, so a
+// transaction the decoder accepts re-marshals to exactly these bytes and
+// the copy stands in for the canonical form without a marshal.
 func ParseTransaction(b []byte) (*Transaction, error) {
-	var t Transaction
-	if err := json.Unmarshal(b, &t); err != nil {
+	r := codec.NewReader(b)
+	t := readTransaction(&r)
+	if err := r.Done(); err != nil {
 		return nil, fmt.Errorf("ledger: parse tx: %w", err)
 	}
 	t.encOnce.Do(func() { t.enc = append([]byte(nil), b...) })
-	return &t, nil
+	return t, nil
 }
 
 // ResponsePayloadParsed unmarshals the agreed proposal response payload.
@@ -271,22 +253,22 @@ func (c ValidationCode) String() string {
 
 // BlockHeader chains blocks together.
 type BlockHeader struct {
-	Number   uint64 `json:"number"`
-	PrevHash []byte `json:"prev_hash"`
-	DataHash []byte `json:"data_hash"`
+	Number   uint64
+	PrevHash []byte
+	DataHash []byte
 }
 
 // BlockMetadata carries the validity flag vector written by validators
 // (one code per transaction, same order).
 type BlockMetadata struct {
-	ValidationFlags []ValidationCode `json:"validation_flags,omitempty"`
+	ValidationFlags []ValidationCode
 }
 
 // Block is a list of transactions plus header and metadata (Fig. 3).
 type Block struct {
-	Header       BlockHeader    `json:"header"`
-	Transactions []*Transaction `json:"transactions"`
-	Metadata     BlockMetadata  `json:"metadata"`
+	Header       BlockHeader
+	Transactions []*Transaction
+	Metadata     BlockMetadata
 }
 
 // dataHash computes the digest over the ordered transactions, reusing
@@ -327,13 +309,7 @@ func NewBlock(number uint64, prevHash []byte, txs []*Transaction) *Block {
 }
 
 // Hash returns the block header hash, which the next block links to.
-func (b *Block) Hash() []byte {
-	hdr, err := json.Marshal(b.Header)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: marshal header: %v", err))
-	}
-	return fabcrypto.Hash(hdr)
-}
+func (b *Block) Hash() []byte { return fabcrypto.Hash(appendHeader(nil, &b.Header)) }
 
 // VerifyDataHash checks that the block's transactions match its
 // DataHash. It re-serializes every transaction from scratch: trusting
@@ -342,16 +318,13 @@ func (b *Block) VerifyDataHash() bool {
 	return fabcrypto.Equal(b.Header.DataHash, dataHashFresh(b.Transactions))
 }
 
-// Clone deep-copies the block so each peer can record its own validation
-// flags without racing other peers.
+// Clone returns a copy of the block that owns its validation flags, so
+// each peer can record its own without racing other peers. Everything
+// else is shared: the header and the transactions (with their memoized
+// serializations) are immutable once the block is cut.
 func (b *Block) Clone() *Block {
-	raw, err := json.Marshal(b)
-	if err != nil {
-		panic(fmt.Sprintf("ledger: clone block: %v", err))
-	}
-	var cp Block
-	if err := json.Unmarshal(raw, &cp); err != nil {
-		panic(fmt.Sprintf("ledger: clone block: %v", err))
-	}
+	cp := *b
+	cp.Transactions = slices.Clone(b.Transactions)
+	cp.Metadata.ValidationFlags = slices.Clone(b.Metadata.ValidationFlags)
 	return &cp
 }

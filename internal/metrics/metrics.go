@@ -215,7 +215,7 @@ const (
 )
 
 // Well-known counter names of the validator's sharded duplicate-TxID
-// cache (internal/dedup, merged into the peer's metrics snapshot).
+// cache (internal/validator, merged into the peer's metrics snapshot).
 const (
 	// DedupHits counts replay lookups answered by the cache — duplicate
 	// submissions rejected before signature verification.

@@ -93,18 +93,58 @@ func TestBlocksChainAcrossBatches(t *testing.T) {
 	}
 }
 
+// TestEachPeerGetsOwnClone: each peer's block owns its validation flags
+// and shares the transactions. One of three peers rewrites every flag it
+// is handed while the other two read theirs and re-verify the data hash
+// (the shared transactions' memoized bytes) on their own delivery
+// goroutines; neither they nor the orderer's retained blocks see the
+// rewrite. CI runs it under -race.
 func TestEachPeerGetsOwnClone(t *testing.T) {
+	const blocks = 4
 	svc := New(Config{OrdererCount: 1, BatchSize: 1, Seed: 4})
-	var b1, b2 *ledger.Block
-	svc.RegisterDelivery(func(b *ledger.Block) { b1 = b })
-	svc.RegisterDelivery(func(b *ledger.Block) { b2 = b })
-	_ = svc.Submit(tx("a"))
-	if b1 == b2 {
-		t.Fatal("peers share a block instance")
+	var mu sync.Mutex
+	got := make([][]*ledger.Block, 3)
+	seen := make([][]ledger.ValidationCode, 3)
+	for i := range got {
+		i := i
+		svc.RegisterDelivery(func(b *ledger.Block) {
+			if i == 0 {
+				for j := range b.Metadata.ValidationFlags {
+					b.Metadata.ValidationFlags[j] = ledger.MVCCConflict
+				}
+			}
+			flags := append([]ledger.ValidationCode(nil), b.Metadata.ValidationFlags...)
+			if !b.VerifyDataHash() {
+				t.Errorf("peer %d: block %d data hash broken", i, b.Header.Number)
+			}
+			mu.Lock()
+			got[i] = append(got[i], b)
+			seen[i] = append(seen[i], flags...)
+			mu.Unlock()
+		})
 	}
-	b1.Metadata.ValidationFlags[0] = ledger.MVCCConflict
-	if b2.Metadata.ValidationFlags[0] == ledger.MVCCConflict {
-		t.Fatal("validation flags shared across peers")
+	for i := 0; i < blocks; i++ {
+		if err := svc.Submit(tx(fmt.Sprintf("c%d", i))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	svc.Stop()
+
+	for n, b := range mustDeliver(t, svc, 0) {
+		if b.Metadata.ValidationFlags[0] != 0 {
+			t.Fatalf("retained block %d carries flag %v", n, b.Metadata.ValidationFlags[0])
+		}
+		for i := 1; i < 3; i++ {
+			if got[i][n] == got[0][n] {
+				t.Fatalf("peers 0 and %d share block %d", i, n)
+			}
+			if got[i][n].Transactions[0] != got[0][n].Transactions[0] {
+				t.Fatalf("peers 0 and %d hold different copies of block %d's transaction", i, n)
+			}
+			if seen[i][n] != 0 || got[i][n].Metadata.ValidationFlags[0] != 0 {
+				t.Fatalf("peer %d sees peer 0's flag on block %d", i, n)
+			}
+		}
 	}
 }
 

@@ -19,8 +19,6 @@
 package rwset
 
 import (
-	"encoding/json"
-	"fmt"
 	"sort"
 
 	"repro/internal/fabcrypto"
@@ -30,15 +28,15 @@ import (
 // KVRead records that a key was read at a version during simulation. A
 // zero Version means the key was absent.
 type KVRead struct {
-	Key     string          `json:"key"`
-	Version statedb.Version `json:"version"`
+	Key     string
+	Version statedb.Version
 }
 
 // KVWrite records a write or delete produced by simulation.
 type KVWrite struct {
-	Key      string `json:"key"`
-	Value    []byte `json:"value,omitempty"`
-	IsDelete bool   `json:"is_delete,omitempty"`
+	Key      string
+	Value    []byte
+	IsDelete bool
 }
 
 // RangeQuery records a range scan performed during simulation together
@@ -47,9 +45,9 @@ type KVWrite struct {
 // which rejects phantom reads: a key inserted into or deleted from the
 // range between simulation and validation invalidates the transaction.
 type RangeQuery struct {
-	StartKey string   `json:"start_key"`
-	EndKey   string   `json:"end_key"`
-	Reads    []KVRead `json:"reads"`
+	StartKey string
+	EndKey   string
+	Reads    []KVRead
 }
 
 // KVMetaWrite records an update to a key's validation parameter — the
@@ -57,26 +55,26 @@ type RangeQuery struct {
 // validator_keylevel.go, the source file the paper cites for its policy
 // routing analysis. Policy is a signature-policy expression.
 type KVMetaWrite struct {
-	Key    string `json:"key"`
-	Policy string `json:"policy"`
+	Key    string
+	Policy string
 }
 
 // NsRWSet is the public read/write set of one chaincode namespace.
 type NsRWSet struct {
-	Namespace    string        `json:"namespace"`
-	Reads        []KVRead      `json:"reads,omitempty"`
-	Writes       []KVWrite     `json:"writes,omitempty"`
-	RangeQueries []RangeQuery  `json:"range_queries,omitempty"`
-	MetaWrites   []KVMetaWrite `json:"meta_writes,omitempty"`
+	Namespace    string
+	Reads        []KVRead
+	Writes       []KVWrite
+	RangeQueries []RangeQuery
+	MetaWrites   []KVMetaWrite
 }
 
 // CollHashedRWSet is the hashed read/write set of one private data
 // collection. Keys and values are SHA-256 digests; versions are original.
 // This is the only collection material embedded in a transaction.
 type CollHashedRWSet struct {
-	Collection   string        `json:"collection"`
-	HashedReads  []KVReadHash  `json:"hashed_reads,omitempty"`
-	HashedWrites []KVWriteHash `json:"hashed_writes,omitempty"`
+	Collection   string
+	HashedReads  []KVReadHash
+	HashedWrites []KVWriteHash
 }
 
 // KVReadHash is a hashed private read: the SHA-256 of the key plus the
@@ -84,60 +82,39 @@ type CollHashedRWSet struct {
 // peer through GetPrivateDataHash — the fact the paper's endorsement
 // forgery exploits.
 type KVReadHash struct {
-	KeyHash []byte          `json:"key_hash"`
-	Version statedb.Version `json:"version"`
+	KeyHash []byte
+	Version statedb.Version
 }
 
 // KVWriteHash is a hashed private write.
 type KVWriteHash struct {
-	KeyHash   []byte `json:"key_hash"`
-	ValueHash []byte `json:"value_hash,omitempty"`
-	IsDelete  bool   `json:"is_delete,omitempty"`
+	KeyHash   []byte
+	ValueHash []byte
+	IsDelete  bool
 }
 
 // CollPvtRWSet is the original (cleartext) private read/write set of one
 // collection. It never enters a block; endorsers keep it in their
 // transient store and gossip it to collection members.
 type CollPvtRWSet struct {
-	Collection string    `json:"collection"`
-	Reads      []KVRead  `json:"reads,omitempty"`
-	Writes     []KVWrite `json:"writes,omitempty"`
+	Collection string
+	Reads      []KVRead
+	Writes     []KVWrite
 }
 
 // TxRWSet is the complete simulation result of one transaction: public
 // read/write sets per namespace and hashed collection read/write sets.
 // This is what the proposal response carries and what validators check.
 type TxRWSet struct {
-	NsRWSets []NsRWSet         `json:"ns_rwsets,omitempty"`
-	CollSets []CollHashedRWSet `json:"coll_sets,omitempty"`
+	NsRWSets []NsRWSet
+	CollSets []CollHashedRWSet
 }
 
 // TxPvtRWSet is the private companion of a TxRWSet: the original
 // collection read/write sets, distributed off-chain.
 type TxPvtRWSet struct {
-	TxID     string         `json:"tx_id"`
-	CollSets []CollPvtRWSet `json:"coll_sets,omitempty"`
-}
-
-// Marshal returns the canonical JSON serialization of the TxRWSet. Slices
-// are kept in deterministic (sorted) order by the Builder, so equal
-// simulations marshal identically — the property the client's
-// proposal-response consistency check relies on.
-func (s *TxRWSet) Marshal() []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(fmt.Sprintf("rwset: marshal: %v", err))
-	}
-	return b
-}
-
-// UnmarshalTxRWSet decodes a TxRWSet serialized with Marshal.
-func UnmarshalTxRWSet(b []byte) (*TxRWSet, error) {
-	var s TxRWSet
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("rwset: unmarshal: %w", err)
-	}
-	return &s, nil
+	TxID     string
+	CollSets []CollPvtRWSet
 }
 
 // Clone returns a deep copy of the collection set: the backing arrays of
@@ -177,24 +154,6 @@ func (s *TxPvtRWSet) Clone() *TxPvtRWSet {
 		}
 	}
 	return out
-}
-
-// Marshal returns the canonical JSON serialization of the private set.
-func (s *TxPvtRWSet) Marshal() []byte {
-	b, err := json.Marshal(s)
-	if err != nil {
-		panic(fmt.Sprintf("rwset: marshal pvt: %v", err))
-	}
-	return b
-}
-
-// UnmarshalTxPvtRWSet decodes a TxPvtRWSet serialized with Marshal.
-func UnmarshalTxPvtRWSet(b []byte) (*TxPvtRWSet, error) {
-	var s TxPvtRWSet
-	if err := json.Unmarshal(b, &s); err != nil {
-		return nil, fmt.Errorf("rwset: unmarshal pvt: %w", err)
-	}
-	return &s, nil
 }
 
 // HashPvtCollection converts an original collection read/write set into

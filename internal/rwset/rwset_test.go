@@ -154,9 +154,14 @@ func TestHashedCollectionSets(t *testing.T) {
 	if !fabcrypto.Equal(h.HashedWrites[0].ValueHash, fabcrypto.Hash([]byte("secret"))) {
 		t.Error("write value hash wrong")
 	}
-	// The cleartext never appears in the hashed set's serialization.
+	// The cleartext never appears in the hashed set's serialization,
+	// though the encoding carries values verbatim: the private set,
+	// which stays off-chain, shows it.
 	if bytes.Contains(set.Marshal(), []byte("secret")) {
 		t.Error("cleartext leaked into hashed rwset")
+	}
+	if !bytes.Contains(pvt.Marshal(), []byte("secret")) {
+		t.Error("private set does not carry its value verbatim")
 	}
 	if !MatchesHashed(&pvt.CollSets[0], &h) {
 		t.Error("original does not match its own hashed form")

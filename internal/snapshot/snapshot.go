@@ -17,7 +17,6 @@ package snapshot
 import (
 	"bytes"
 	"crypto/sha256"
-	"encoding/binary"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
@@ -25,6 +24,7 @@ import (
 	"os"
 	"path/filepath"
 
+	"repro/internal/codec"
 	"repro/internal/storage"
 )
 
@@ -148,21 +148,21 @@ func encodeRecord(r Record) ([]byte, error) {
 	buf := []byte{byte(r.Kind)}
 	switch r.Kind {
 	case KindState:
-		buf = storage.AppendString(buf, r.Namespace)
-		buf = storage.AppendString(buf, r.Key)
-		buf = storage.AppendBytes(buf, r.Value)
-		buf = binary.AppendUvarint(buf, r.Version)
+		buf = codec.AppendString(buf, r.Namespace)
+		buf = codec.AppendString(buf, r.Key)
+		buf = codec.AppendBytes(buf, r.Value)
+		buf = codec.AppendUvarint(buf, r.Version)
 	case KindTombstone:
-		buf = storage.AppendString(buf, r.Namespace)
-		buf = storage.AppendString(buf, r.Key)
-		buf = binary.AppendUvarint(buf, r.Version)
+		buf = codec.AppendString(buf, r.Namespace)
+		buf = codec.AppendString(buf, r.Key)
+		buf = codec.AppendUvarint(buf, r.Version)
 	case KindPurge:
-		buf = binary.AppendUvarint(buf, r.At)
-		buf = storage.AppendString(buf, r.Namespace)
-		buf = storage.AppendString(buf, r.Key)
+		buf = codec.AppendUvarint(buf, r.At)
+		buf = codec.AppendString(buf, r.Namespace)
+		buf = codec.AppendString(buf, r.Key)
 	case KindMissing:
-		buf = storage.AppendString(buf, r.TxID)
-		buf = storage.AppendString(buf, r.Collection)
+		buf = codec.AppendString(buf, r.TxID)
+		buf = codec.AppendString(buf, r.Collection)
 	default:
 		return nil, fmt.Errorf("snapshot: encode unknown record kind %d", r.Kind)
 	}
@@ -172,7 +172,7 @@ func encodeRecord(r Record) ([]byte, error) {
 // decodeRecord parses one record body. storage.ReadRecord never returns
 // an empty body, so the kind byte is always there.
 func decodeRecord(body []byte) (Record, error) {
-	d := storage.NewDecoder(body)
+	d := codec.NewReader(body)
 	r := Record{Kind: RecordKind(d.Byte())}
 	switch r.Kind {
 	case KindState:
@@ -194,7 +194,10 @@ func decodeRecord(body []byte) (Record, error) {
 	default:
 		return r, fmt.Errorf("%w: unknown record kind %d", storage.ErrCorrupt, r.Kind)
 	}
-	return r, d.Finish()
+	if err := d.Done(); err != nil {
+		return r, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
+	}
+	return r, nil
 }
 
 // --- writer ---

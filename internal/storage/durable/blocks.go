@@ -2,11 +2,10 @@ package durable
 
 import (
 	"bytes"
-	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/ledger"
 	"repro/internal/storage"
 )
@@ -14,7 +13,8 @@ import (
 // Record types on the blocks log (docs/STORAGE.md §6). The log is never
 // compacted: every record is a block the chain still holds.
 const (
-	// recBlock is one block, JSON-encoded.
+	// recBlock is one block in its canonical encoding
+	// (ledger.AppendBlock), the same bytes a wire block event carries.
 	recBlock byte = 0x01
 	// recBase is the chain base of a snapshot install: uvarint height,
 	// len-prefixed hash of block height-1. Only ever the first record.
@@ -64,18 +64,18 @@ func (c *chain) replay(recType byte, payload []byte) (*ledger.Block, error) {
 		if c.next != 0 {
 			return nil, fmt.Errorf("%w: base record after block %d", storage.ErrCorrupt, c.next)
 		}
-		d := storage.NewDecoder(payload)
-		c.base = d.Uvarint()
-		c.baseHash = append([]byte(nil), d.Bytes()...)
-		if err := d.Finish(); err != nil {
-			return nil, fmt.Errorf("blocks base record: %w", err)
+		r := codec.NewReader(payload)
+		c.base = r.Uvarint()
+		c.baseHash = append([]byte(nil), r.Bytes()...)
+		if err := r.Done(); err != nil {
+			return nil, fmt.Errorf("%w: blocks base record: %v", storage.ErrCorrupt, err)
 		}
 		c.next, c.prevHash = c.base, c.baseHash
 		return nil, nil
 	case recBlock:
-		var b ledger.Block
-		if err := json.Unmarshal(payload, &b); err != nil {
-			return nil, fmt.Errorf("%w: unmarshal block: %v", storage.ErrCorrupt, err)
+		b, err := ledger.ParseBlock(payload)
+		if err != nil {
+			return nil, fmt.Errorf("%w: %v", storage.ErrCorrupt, err)
 		}
 		if b.Header.Number != c.next {
 			return nil, fmt.Errorf("%w: block %d where %d was due", storage.ErrCorrupt, b.Header.Number, c.next)
@@ -88,7 +88,7 @@ func (c *chain) replay(recType byte, payload []byte) (*ledger.Block, error) {
 		}
 		c.prevHash = b.Hash()
 		c.next++
-		return &b, nil
+		return b, nil
 	}
 	return nil, fmt.Errorf("%w: unknown blocks record type 0x%02x", storage.ErrCorrupt, recType)
 }
@@ -102,11 +102,7 @@ func (s *blockStore) Append(b *ledger.Block) error {
 	if b.Header.Number != s.height {
 		return fmt.Errorf("%w: append block %d at height %d", storage.ErrCorrupt, b.Header.Number, s.height)
 	}
-	raw, err := json.Marshal(b)
-	if err != nil {
-		return fmt.Errorf("durable: marshal block %d: %w", b.Header.Number, err)
-	}
-	if err := s.l.append(recBlock, raw); err != nil {
+	if err := s.l.append(recBlock, ledger.AppendBlock(nil, b)); err != nil {
 		return err
 	}
 	s.height++
@@ -131,7 +127,7 @@ func (s *blockStore) InstallBase(height uint64, prevHash []byte) error {
 	if height == 0 {
 		return nil // a store begins at 0 without a base record
 	}
-	payload := storage.AppendBytes(binary.AppendUvarint(nil, height), prevHash)
+	payload := codec.AppendBytes(codec.AppendUvarint(nil, height), prevHash)
 	if err := s.l.append(recBase, payload); err != nil {
 		return err
 	}

@@ -300,29 +300,44 @@ func recordOffsets(t *testing.T, seg []byte) []int {
 	}
 }
 
+// parentJSONBlock is testBlocks[0] as the blocks log stored it when a
+// recBlock body was a JSON block.
+const parentJSONBlock = `{"header":{"number":0,"prev_hash":null,"data_hash":"CndNJhPVlLTr43ujBoDE1ROH7NKRwTFWZICCe3YpS3E="},` +
+	`"transactions":[{"tx_id":"tx0","channel_id":"","creator":null,"proposal":{"tx_id":"tx0","channel_id":"",` +
+	`"chaincode":"","function":"","creator":null,"nonce":null},"response_payload":"e30=","endorsements":null}],` +
+	`"metadata":{"validation_flags":[1]}}`
+
 // TestDurableBlockRecordTamper edits one block record on disk. The
 // validation flags sit outside every hash a block carries, so only the
 // record CRC catches an edit to them: in an interior record it is
 // corruption, in the final record a torn tail that drops that block.
 // An interior length field of 0xFFFFFFFF is corruption too, and must
-// not be allocated.
+// not be allocated. A log written when block records were JSON is
+// corruption, never misread as blocks.
 func TestDurableBlockRecordTamper(t *testing.T) {
 	const blocks = 4
-	flag := []byte(`"validation_flags":[1`)
+	// Each test block ends with its one flag, Valid, as the varint 0x02;
+	// 0x06 is MVCCConflict.
 	cases := []struct {
 		name   string
-		tamper func(t *testing.T, seg []byte)
+		tamper func(t *testing.T, seg []byte) []byte
 		height uint64 // after reopen; 0 means Open must fail with ErrCorrupt
 	}{
-		{"flags interior", func(t *testing.T, seg []byte) {
-			seg[bytes.Index(seg, flag)+len(flag)-1] = '3'
+		{"flags interior", func(t *testing.T, seg []byte) []byte {
+			seg[recordOffsets(t, seg)[1]-1] = 0x06
+			return seg
 		}, 0},
-		{"flags final", func(t *testing.T, seg []byte) {
-			seg[bytes.LastIndex(seg, flag)+len(flag)-1] = '3'
+		{"flags final", func(t *testing.T, seg []byte) []byte {
+			seg[len(seg)-1] = 0x06
+			return seg
 		}, blocks - 1},
-		{"length interior", func(t *testing.T, seg []byte) {
+		{"length interior", func(t *testing.T, seg []byte) []byte {
 			off := recordOffsets(t, seg)[1]
 			copy(seg[off:], []byte{0xff, 0xff, 0xff, 0xff})
+			return seg
+		}, 0},
+		{"JSON block record", func(t *testing.T, seg []byte) []byte {
+			return storage.AppendRecord(nil, append([]byte{recBlock}, parentJSONBlock...))
 		}, 0},
 	}
 	for _, c := range cases {
@@ -337,8 +352,10 @@ func TestDurableBlockRecordTamper(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			c.tamper(t, raw)
-			if err := os.WriteFile(seg, raw, 0o644); err != nil {
+			if raw[len(raw)-1] != 0x02 {
+				t.Fatalf("last block record ends in %#x, want its Valid flag 0x02", raw[len(raw)-1])
+			}
+			if err := os.WriteFile(seg, c.tamper(t, raw), 0o644); err != nil {
 				t.Fatal(err)
 			}
 

@@ -1,11 +1,11 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/storage"
 )
 
@@ -51,17 +51,17 @@ func openPvt(dir string, opts storage.Options) (*pvtStore, error) {
 }
 
 func (s *pvtStore) replayRecord(recType byte, payload []byte) error {
-	d := storage.NewDecoder(payload)
+	d := codec.NewReader(payload)
 	var err error
 	switch recType {
 	case recPurgeSchedule:
 		e := storage.PurgeEntry{At: d.Uvarint(), Namespace: d.String(), Key: d.String()}
-		if err = d.Finish(); err == nil {
+		if err = d.Done(); err == nil {
 			s.purges[e] = true
 		}
 	case recPurgeComplete:
 		upTo := d.Uvarint()
-		if err = d.Finish(); err == nil {
+		if err = d.Done(); err == nil {
 			for e := range s.purges {
 				if e.At <= upTo {
 					delete(s.purges, e)
@@ -70,32 +70,32 @@ func (s *pvtStore) replayRecord(recType byte, payload []byte) error {
 		}
 	case recMissing:
 		e := storage.MissingEntry{TxID: d.String(), Collection: d.String()}
-		if err = d.Finish(); err == nil {
+		if err = d.Done(); err == nil {
 			s.missing[e] = true
 		}
 	case recMissingDone:
 		e := storage.MissingEntry{TxID: d.String(), Collection: d.String()}
-		if err = d.Finish(); err == nil {
+		if err = d.Done(); err == nil {
 			delete(s.missing, e)
 		}
 	default:
 		return fmt.Errorf("%w: unknown pvt record type 0x%02x", storage.ErrCorrupt, recType)
 	}
 	if err != nil {
-		return fmt.Errorf("pvt record 0x%02x: %w", recType, err)
+		return fmt.Errorf("%w: pvt record 0x%02x: %v", storage.ErrCorrupt, recType, err)
 	}
 	return nil
 }
 
 func encodePurge(e storage.PurgeEntry) []byte {
-	buf := binary.AppendUvarint(nil, e.At)
-	buf = storage.AppendString(buf, e.Namespace)
-	return storage.AppendString(buf, e.Key)
+	buf := codec.AppendUvarint(nil, e.At)
+	buf = codec.AppendString(buf, e.Namespace)
+	return codec.AppendString(buf, e.Key)
 }
 
 func encodeMissing(e storage.MissingEntry) []byte {
-	buf := storage.AppendString(nil, e.TxID)
-	return storage.AppendString(buf, e.Collection)
+	buf := codec.AppendString(nil, e.TxID)
+	return codec.AppendString(buf, e.Collection)
 }
 
 func (s *pvtStore) SchedulePurge(e storage.PurgeEntry) error {
@@ -116,7 +116,7 @@ func (s *pvtStore) SchedulePurge(e storage.PurgeEntry) error {
 }
 
 func (s *pvtStore) CompletePurge(upTo uint64) error {
-	if err := s.l.append(recPurgeComplete, binary.AppendUvarint(nil, upTo)); err != nil {
+	if err := s.l.append(recPurgeComplete, codec.AppendUvarint(nil, upTo)); err != nil {
 		return err
 	}
 	s.mu.Lock()

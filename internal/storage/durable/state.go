@@ -1,11 +1,11 @@
 package durable
 
 import (
-	"encoding/binary"
 	"fmt"
 	"sort"
 	"sync"
 
+	"repro/internal/codec"
 	"repro/internal/storage"
 )
 
@@ -270,24 +270,24 @@ func (s *stateStore) Close() error {
 // value.
 
 func encodeBatch(b storage.StateBatch) []byte {
-	buf := binary.AppendUvarint(nil, b.Height)
-	buf = binary.AppendUvarint(buf, uint64(len(b.Records)))
+	buf := codec.AppendUvarint(nil, b.Height)
+	buf = codec.AppendUvarint(buf, uint64(len(b.Records)))
 	for _, r := range b.Records {
-		buf = storage.AppendString(buf, r.Namespace)
-		buf = storage.AppendString(buf, r.Key)
-		buf = binary.AppendUvarint(buf, r.Version)
+		buf = codec.AppendString(buf, r.Namespace)
+		buf = codec.AppendString(buf, r.Key)
+		buf = codec.AppendUvarint(buf, r.Version)
 		var flags byte
 		if r.Delete {
 			flags = 1
 		}
 		buf = append(buf, flags)
-		buf = storage.AppendBytes(buf, r.Value)
+		buf = codec.AppendBytes(buf, r.Value)
 	}
 	return buf
 }
 
 func decodeBatch(payload []byte) (storage.StateBatch, error) {
-	d := storage.NewDecoder(payload)
+	d := codec.NewReader(payload)
 	var b storage.StateBatch
 	b.Height = d.Uvarint()
 	n := d.Uvarint()
@@ -304,8 +304,8 @@ func decodeBatch(payload []byte) (storage.StateBatch, error) {
 		r.Value = append([]byte(nil), d.Bytes()...)
 		b.Records = append(b.Records, r)
 	}
-	if err := d.Finish(); err != nil {
-		return storage.StateBatch{}, fmt.Errorf("state batch: %w", err)
+	if err := d.Done(); err != nil {
+		return storage.StateBatch{}, fmt.Errorf("%w: state batch: %v", storage.ErrCorrupt, err)
 	}
 	return b, nil
 }

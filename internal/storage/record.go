@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -70,87 +69,4 @@ func ReadRecord(r io.Reader) ([]byte, error) {
 		return nil, fmt.Errorf("%w: record crc mismatch", ErrCorrupt)
 	}
 	return body, nil
-}
-
-// AppendBytes appends b with a uvarint length prefix.
-func AppendBytes(dst, b []byte) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(b)))
-	return append(dst, b...)
-}
-
-// AppendString appends s with a uvarint length prefix.
-func AppendString(dst []byte, s string) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(s)))
-	return append(dst, s...)
-}
-
-// Decoder reads the fields of a record body: uvarints, single bytes and
-// uvarint-length-prefixed byte strings. Its error is sticky: after the
-// first malformed field every read returns a zero value, and Finish
-// reports it.
-type Decoder struct {
-	buf []byte
-	err error
-}
-
-// NewDecoder returns a Decoder over body.
-func NewDecoder(body []byte) Decoder { return Decoder{buf: body} }
-
-// Uvarint reads an unsigned varint.
-func (d *Decoder) Uvarint() uint64 {
-	if d.err != nil {
-		return 0
-	}
-	v, n := binary.Uvarint(d.buf)
-	if n <= 0 {
-		d.err = errors.New("bad uvarint")
-		return 0
-	}
-	d.buf = d.buf[n:]
-	return v
-}
-
-// Byte reads one byte.
-func (d *Decoder) Byte() byte {
-	if d.err != nil {
-		return 0
-	}
-	if len(d.buf) == 0 {
-		d.err = errors.New("short record")
-		return 0
-	}
-	b := d.buf[0]
-	d.buf = d.buf[1:]
-	return b
-}
-
-// Bytes reads a length-prefixed byte string. The result aliases the body.
-func (d *Decoder) Bytes() []byte {
-	n := d.Uvarint()
-	if d.err != nil {
-		return nil
-	}
-	if n > uint64(len(d.buf)) {
-		d.err = fmt.Errorf("field length %d exceeds remaining %d", n, len(d.buf))
-		return nil
-	}
-	b := d.buf[:n:n]
-	d.buf = d.buf[n:]
-	return b
-}
-
-// String reads a length-prefixed string.
-func (d *Decoder) String() string { return string(d.Bytes()) }
-
-// Finish returns the first malformed field, or trailing bytes after the
-// last field, as an error wrapping ErrCorrupt, so each body has exactly
-// one encoding.
-func (d *Decoder) Finish() error {
-	if d.err == nil && len(d.buf) > 0 {
-		d.err = fmt.Errorf("%d trailing bytes", len(d.buf))
-	}
-	if d.err != nil {
-		return fmt.Errorf("%w: %v", ErrCorrupt, d.err)
-	}
-	return nil
 }

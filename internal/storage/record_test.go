@@ -46,25 +46,3 @@ func FuzzReadRecord(f *testing.F) {
 		}
 	})
 }
-
-func TestDecoderRoundTripAndRejects(t *testing.T) {
-	body := AppendString([]byte{0x07}, "ns")
-	body = AppendBytes(body, []byte("value"))
-	d := NewDecoder(body)
-	if b, s, v := d.Byte(), d.String(), string(d.Bytes()); b != 0x07 || s != "ns" || v != "value" {
-		t.Fatalf("decoded %d %q %q", b, s, v)
-	}
-	if err := d.Finish(); err != nil {
-		t.Fatal(err)
-	}
-	for name, bad := range map[string][]byte{
-		"trailing byte":  append(append([]byte(nil), body...), 0),
-		"field overruns": body[:len(body)-1],
-	} {
-		d := NewDecoder(bad)
-		_, _, _ = d.Byte(), d.String(), d.Bytes()
-		if err := d.Finish(); !errors.Is(err, ErrCorrupt) {
-			t.Errorf("%s: Finish = %v, want ErrCorrupt", name, err)
-		}
-	}
-}

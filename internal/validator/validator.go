@@ -20,7 +20,6 @@ import (
 	"repro/internal/chaincode"
 	"repro/internal/channel"
 	"repro/internal/core"
-	"repro/internal/dedup"
 	"repro/internal/fabcrypto"
 	"repro/internal/gossip"
 	"repro/internal/identity"
@@ -40,7 +39,7 @@ type Validator struct {
 	channelCfg *channel.Config
 	verifier   *identity.Verifier
 	vcache     *identity.VerifyCache
-	dedupe     *dedup.Cache // nil when disabled
+	dedupe     *dedupCache // nil when disabled
 	defs       func(name string) *chaincode.Definition
 	db         *statedb.DB
 	pvt        *pvtdata.Store
@@ -92,9 +91,9 @@ type Config struct {
 
 // New creates a validator.
 func New(cfg Config) *Validator {
-	var dd *dedup.Cache
+	var dd *dedupCache
 	if cfg.Security.DedupCacheSize >= 0 {
-		dd = dedup.New(cfg.Security.DedupCacheSize)
+		dd = newDedupCache(cfg.Security.DedupCacheSize)
 	}
 	return &Validator{
 		selfName:   cfg.SelfName,
@@ -173,11 +172,11 @@ func (v *Validator) recordMissing(txID, collection string) {
 }
 
 // DedupStats returns the duplicate-TxID cache's counters (hits are
-// replays rejected before signature verification). The zero Stats is
+// replays rejected before signature verification). The zero DedupStats is
 // returned when the cache is disabled.
-func (v *Validator) DedupStats() dedup.Stats {
+func (v *Validator) DedupStats() DedupStats {
 	if v.dedupe == nil {
-		return dedup.Stats{}
+		return DedupStats{}
 	}
 	return v.dedupe.Stats()
 }

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/deliver"
 	"repro/internal/fabcrypto"
 	"repro/internal/identity"
@@ -256,28 +257,18 @@ func decodeEventFrame(f frame) ([]deliver.Event, error) {
 		}
 		return []deliver.Event{ev.decode()}, nil
 	}
-	r := &binReader{b: f.Payload}
-	n := r.uvarint()
-	if r.err != nil || n > uint64(r.remaining()) {
-		r.fail("event batch count")
-		return nil, r.err
+	r := codec.NewReader(f.Payload)
+	items := codec.ReadSlice(&r, (*codec.Reader).Bytes)
+	if err := r.Done(); err != nil {
+		return nil, fmt.Errorf("event batch: %w", err)
 	}
-	out := make([]deliver.Event, 0, n)
-	for i := uint64(0); i < n; i++ {
-		size := r.uvarint()
-		if r.err != nil || size > uint64(r.remaining()) {
-			r.fail("event batch item")
-			return nil, r.err
-		}
-		item := r.take(int(size))
+	out := make([]deliver.Event, 0, len(items))
+	for _, item := range items {
 		var ev event
 		if err := unmarshalBody(item, &ev); err != nil {
 			return nil, err
 		}
 		out = append(out, ev.decode())
-	}
-	if err := r.done(); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

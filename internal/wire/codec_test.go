@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/deliver"
 	"repro/internal/ledger"
 	"repro/internal/rwset"
@@ -113,25 +114,23 @@ func TestBinaryCodecRoundTrip(t *testing.T) {
 	}
 }
 
-// TestBinaryCodecIsCanonical: encodings the encoder cannot produce are
-// rejected, not normalized — a padded varint, map keys out of order or
-// repeated, an out-of-range status.
+// TestBinaryCodecIsCanonical: type-level values the encoder cannot
+// produce are rejected, not normalized — an out-of-range status, an
+// unknown event tag. The field-level cases (padded varints, map key
+// order) are internal/codec's TestReaderIsCanonical.
 func TestBinaryCodecIsCanonical(t *testing.T) {
 	cases := []struct {
 		name   string
 		target any
 		data   []byte
 	}{
-		{"padded uvarint", &blocksRequest{}, []byte{1, 0x80, 0x00}},
-		{"padded varint", &request{}, []byte{1, 0, 0x80, 0x00, 0}},
-		{"unsorted map", &endorseRequest{}, []byte{1, 0, 3, 1, 'b', 0, 1, 'a', 0}},
-		{"repeated map key", &endorseRequest{}, []byte{1, 0, 3, 1, 'a', 0, 1, 'a', 0}},
 		{"status beyond int32", &ledger.ProposalResponse{},
-			append(append([]byte{1, 0, 0}, appendVarint(nil, 1<<40)...), 0, 0, 0, 0)},
+			append(append([]byte{1, 0, 0}, codec.AppendVarint(nil, 1<<40)...), 0, 0, 0, 0)},
+		{"unknown event tag", &event{}, []byte{1, 9}},
 	}
 	for _, c := range cases {
-		if err := unmarshalBody(c.data, c.target); !errors.Is(err, errBinaryCodec) {
-			t.Errorf("%s: got %v, want a binary codec error", c.name, err)
+		if err := unmarshalBody(c.data, c.target); !errors.Is(err, codec.ErrMalformed) {
+			t.Errorf("%s: got %v, want a malformed-encoding error", c.name, err)
 		}
 	}
 }
@@ -186,15 +185,16 @@ func TestUncataloguedTypeFailsTyped(t *testing.T) {
 	if _, err := marshalBody(&unknown{A: 7}); !errors.Is(err, ErrNoEncoding) {
 		t.Fatalf("marshal: got %v, want ErrNoEncoding", err)
 	}
-	if err := unmarshalBody([]byte{1, 7}, &unknown{}); !errors.Is(err, errBinaryCodec) {
-		t.Fatalf("unmarshal: got %v, want a binary codec error", err)
+	if err := unmarshalBody([]byte{1, 7}, &unknown{}); !errors.Is(err, codec.ErrMalformed) {
+		t.Fatalf("unmarshal: got %v, want a malformed-encoding error", err)
 	}
 }
 
 // TestBinaryBlockKeepsCanonicalTxBytes: transactions travel inside
 // binary blocks as their memoized canonical serialization, so a decoded
 // block re-derives the identical data hash — the property that keeps
-// state hashes byte-identical across processes.
+// state hashes byte-identical across processes — and the block inside a
+// block event is the same bytes the blocks log stores.
 func TestBinaryBlockKeepsCanonicalTxBytes(t *testing.T) {
 	tx1 := &ledger.Transaction{
 		TxID: "a", ChannelID: "c1", Creator: []byte("cert"),
@@ -213,6 +213,9 @@ func TestBinaryBlockKeepsCanonicalTxBytes(t *testing.T) {
 	data, ok := binMarshal(ev)
 	if !ok {
 		t.Fatal("event not binary-marshalable")
+	}
+	if !bytes.Contains(data, ledger.AppendBlock(nil, block)) {
+		t.Fatal("block event does not carry the block's canonical encoding")
 	}
 	var got event
 	if ok, err := binUnmarshal(data, &got); !ok || err != nil {

@@ -1,20 +1,23 @@
 package wire
 
 import (
+	"fmt"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/deliver"
 	"repro/internal/ledger"
 	"repro/internal/rwset"
 	"repro/internal/service"
-	"repro/internal/statedb"
 )
 
-// This file is the binary codec's type catalogue: positional
-// encoders/decoders for the frame envelopes and every hot RPC body.
-// Field order is the format — docs/WIRE.md documents each layout. A
-// type absent from binMarshal's switch cannot cross the wire:
-// marshalBody fails it with ErrNoEncoding.
+// This file is the binary codec's type catalogue: the frame envelopes
+// and every RPC body, each a presence marker followed by its fields in
+// the positional field codec (internal/codec). Field order is the format
+// — docs/WIRE.md documents each layout. Ledger and rwset objects are
+// encoded by the packages that own them, in the one encoding they are
+// signed, hashed and stored in. A type absent from binMarshal's switch
+// cannot cross the wire: marshalBody fails it with ErrNoEncoding.
 
 // binMarshal encodes v into a pooled buffer. ok reports whether the
 // binary codec knows v's type.
@@ -22,45 +25,46 @@ func binMarshal(v any) (data []byte, ok bool) {
 	b := getBuf(256)
 	switch t := v.(type) {
 	case *request:
-		b = appRequest(b, t)
+		b = codec.AppendOpt(b, t, appRequest)
 	case *response:
-		b = appResponse(b, t)
+		b = codec.AppendOpt(b, t, appResponse)
 	case *event:
-		b = appEvent(b, t)
+		b = codec.AppendOpt(b, t, appEvent)
 	case *endorseRequest:
-		b = appEndorseRequest(b, t)
+		b = codec.AppendOpt(b, t, appEndorseRequest)
 	case *subscribeRequest:
-		b = appSubscribeRequest(b, t)
+		b = codec.AppendOpt(b, t, appSubscribeRequest)
 	case *pvtRequest:
-		b = appPvtRequest(b, t)
+		b = codec.AppendOpt(b, t, appPvtRequest)
 	case *infoResponse:
-		b = appInfoResponse(b, t)
+		b = codec.AppendOpt(b, t, appInfoResponse)
 	case *orderRequest:
-		b = appOrderRequest(b, t)
+		b = codec.AppendOpt(b, t, appOrderRequest)
 	case *txIDRequest:
-		b = appTxIDRequest(b, t)
+		b = codec.AppendOpt(b, t, appTxIDRequest)
 	case *blocksRequest:
-		b = appBlocksRequest(b, t)
+		b = codec.AppendOpt(b, t, appBlocksRequest)
 	case *evaluateResponse:
-		b = appEvaluateResponse(b, t)
+		b = codec.AppendOpt(b, t, appEvaluateResponse)
 	case *submitAsyncResponse:
-		b = appSubmitAsyncResponse(b, t)
+		b = codec.AppendOpt(b, t, appSubmitAsyncResponse)
 	case *handleRequest:
-		b = appHandleRequest(b, t)
+		b = codec.AppendOpt(b, t, appHandleRequest)
 	case *snapshotMetaResponse:
-		b = appSnapshotMetaResponse(b, t)
+		b = codec.AppendOpt(b, t, appSnapshotMetaResponse)
 	case *snapshotChunksRequest:
-		b = appSnapshotChunksRequest(b, t)
+		b = codec.AppendOpt(b, t, appSnapshotChunksRequest)
 	case *rwset.TxPvtRWSet:
-		b = appTxPvtRWSet(b, t)
+		b = codec.AppendOpt(b, t, rwset.AppendTxPvtRWSet)
 	case *rwset.CollPvtRWSet:
-		b = appCollPvtRWSetPtr(b, t)
+		// A typed nil travels as nil: peer.pvt's "no such private data".
+		b = codec.AppendOpt(b, t, rwset.AppendCollPvtRWSet)
 	case *service.InvokeRequest:
-		b = appInvokeRequest(b, t)
+		b = codec.AppendOpt(b, t, appInvokeRequest)
 	case *service.SubmitResult:
-		b = appSubmitResult(b, t)
+		b = codec.AppendOpt(b, t, appSubmitResult)
 	case *ledger.ProposalResponse:
-		b = appProposalResponse(b, t)
+		b = codec.AppendOpt(b, t, ledger.AppendProposalResponse)
 	default:
 		putBuf(b)
 		return nil, false
@@ -73,170 +77,118 @@ func binMarshal(v any) (data []byte, ok bool) {
 // value target from a nil (presence-0) encoding leaves the target's
 // zero value.
 func binUnmarshal(data []byte, v any) (ok bool, err error) {
-	r := &binReader{b: data}
+	r := codec.NewReader(data)
 	switch t := v.(type) {
 	case *request:
-		if p := readRequest(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, readRequest)
 	case *response:
-		if p := readResponse(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, readResponse)
 	case *event:
-		if p := readEvent(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, readEvent)
 	case *endorseRequest:
-		if r.presence() {
-			t.Proposal = readProposal(r)
-			t.Transient = r.byteMap()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *endorseRequest {
+			return &endorseRequest{Proposal: codec.ReadOpt(r, ledger.ReadProposal), Transient: r.ByteMap()}
+		})
 	case *subscribeRequest:
-		if r.presence() {
-			t.From = r.uvarint()
-			t.Live = r.bool()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *subscribeRequest {
+			return &subscribeRequest{From: r.Uvarint(), Live: r.Bool()}
+		})
 	case *pvtRequest:
-		if r.presence() {
-			t.TxID = r.str()
-			t.Collection = r.str()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *pvtRequest {
+			return &pvtRequest{TxID: r.String(), Collection: r.String()}
+		})
 	case *infoResponse:
-		if r.presence() {
-			t.Name = r.str()
-			t.Org = r.str()
-			t.Channel = r.str()
-			t.Height = r.uvarint()
-			t.StateHash = r.str()
-			t.Base = r.uvarint()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *infoResponse {
+			return &infoResponse{
+				Name: r.String(), Org: r.String(), Channel: r.String(),
+				Height: r.Uvarint(), StateHash: r.String(), Base: r.Uvarint(),
+			}
+		})
 	case *orderRequest:
-		if r.presence() {
-			t.Tx = r.byteSlice()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *orderRequest { return &orderRequest{Tx: r.OptBytes()} })
 	case *txIDRequest:
-		if r.presence() {
-			t.TxID = r.str()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *txIDRequest { return &txIDRequest{TxID: r.String()} })
 	case *blocksRequest:
-		if r.presence() {
-			t.From = r.uvarint()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *blocksRequest { return &blocksRequest{From: r.Uvarint()} })
 	case *evaluateResponse:
-		if r.presence() {
-			t.Payload = r.byteSlice()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *evaluateResponse { return &evaluateResponse{Payload: r.OptBytes()} })
 	case *submitAsyncResponse:
-		if r.presence() {
-			t.Handle = r.uvarint()
-			t.TxID = r.str()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *submitAsyncResponse {
+			return &submitAsyncResponse{Handle: r.Uvarint(), TxID: r.String()}
+		})
 	case *handleRequest:
-		if r.presence() {
-			t.Handle = r.uvarint()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *handleRequest { return &handleRequest{Handle: r.Uvarint()} })
 	case *snapshotMetaResponse:
-		if r.presence() {
-			t.Export = r.uvarint()
-			t.Manifest = r.byteSlice()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *snapshotMetaResponse {
+			return &snapshotMetaResponse{Export: r.Uvarint(), Manifest: r.OptBytes()}
+		})
 	case *snapshotChunksRequest:
-		if r.presence() {
-			t.Export = r.uvarint()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *snapshotChunksRequest {
+			return &snapshotChunksRequest{Export: r.Uvarint()}
+		})
 	case *rwset.TxPvtRWSet:
-		if p := readTxPvtRWSet(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, rwset.ReadTxPvtRWSet)
 	case **rwset.CollPvtRWSet:
-		*t = readCollPvtRWSetPtr(r)
+		*t = codec.ReadOpt(&r, rwset.ReadCollPvtRWSet)
 	case *rwset.CollPvtRWSet:
-		if p := readCollPvtRWSetPtr(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, rwset.ReadCollPvtRWSet)
 	case *service.InvokeRequest:
-		if r.presence() {
-			t.Channel = r.str()
-			t.Chaincode = r.str()
-			t.Function = r.str()
-			t.Args = r.strings()
-			t.Transient = r.byteMap()
-			t.Endorsers = r.strings()
-			t.EndorsersSet = r.bool()
-		}
+		decodeInto(&r, t, func(r *codec.Reader) *service.InvokeRequest {
+			return &service.InvokeRequest{
+				Channel: r.String(), Chaincode: r.String(), Function: r.String(),
+				Args: r.Strings(), Transient: r.ByteMap(),
+				Endorsers: r.Strings(), EndorsersSet: r.Bool(),
+			}
+		})
 	case *service.SubmitResult:
-		if p := readSubmitResult(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, readSubmitResult)
 	case *ledger.ProposalResponse:
-		if p := readProposalResponse(r); p != nil {
-			*t = *p
-		}
+		decodeInto(&r, t, ledger.ReadProposalResponse)
 	default:
 		return false, nil
 	}
-	return true, r.done()
+	return true, r.Done()
 }
 
-// presence reads a pointer-presence marker.
-func (r *binReader) presence() bool { return r.bool() }
-
-func appPresence(b []byte, present bool) []byte { return appendBool(b, present) }
+// decodeInto reads a presence marker and, when present, a value into t.
+func decodeInto[T any](r *codec.Reader, t *T, dec func(*codec.Reader) *T) {
+	if p := codec.ReadOpt(r, dec); p != nil {
+		*t = *p
+	}
+}
 
 // --- envelopes -------------------------------------------------------
 
 func appRequest(b []byte, v *request) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.Method)
-	b = appendVarint(b, v.Deadline)
-	return appendByteSlice(b, v.Body)
+	b = codec.AppendString(b, v.Method)
+	b = codec.AppendVarint(b, v.Deadline)
+	return codec.AppendOptBytes(b, v.Body)
 }
 
-func readRequest(r *binReader) *request {
-	if !r.presence() {
-		return nil
-	}
-	return &request{
-		Method:   r.str(),
-		Deadline: r.varint(),
-		Body:     r.byteSliceAlias(),
-	}
+// readRequest leaves Body aliasing the frame: envelope bodies' lifetime
+// is managed explicitly.
+func readRequest(r *codec.Reader) *request {
+	return &request{Method: r.String(), Deadline: r.Varint(), Body: r.OptBytesAlias()}
 }
 
 func appResponse(b []byte, v *response) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appPresence(b, v.Err != nil)
-	if v.Err != nil {
-		b = appendString(b, v.Err.Code)
-		b = appendString(b, v.Err.Message)
-		b = appendVarint(b, v.Err.RetryAfterMs)
-	}
-	b = appendByteSlice(b, v.Body)
-	return appendBool(b, v.More)
+	b = codec.AppendOpt(b, v.Err, func(b []byte, e *WireError) []byte {
+		b = codec.AppendString(b, e.Code)
+		b = codec.AppendString(b, e.Message)
+		return codec.AppendVarint(b, e.RetryAfterMs)
+	})
+	b = codec.AppendOptBytes(b, v.Body)
+	return codec.AppendBool(b, v.More)
 }
 
-func readResponse(r *binReader) *response {
-	if !r.presence() {
-		return nil
+func readResponse(r *codec.Reader) *response {
+	return &response{
+		Err: codec.ReadOpt(r, func(r *codec.Reader) *WireError {
+			return &WireError{Code: r.String(), Message: r.String(), RetryAfterMs: r.Varint()}
+		}),
+		Body: r.OptBytesAlias(),
+		More: r.Bool(),
 	}
-	v := &response{}
-	if r.presence() {
-		v.Err = &WireError{
-			Code:         r.str(),
-			Message:      r.str(),
-			RetryAfterMs: r.varint(),
-		}
-	}
-	v.Body = r.byteSliceAlias()
-	v.More = r.bool()
-	return v
 }
 
 // Event union tags.
@@ -247,467 +199,158 @@ const (
 	evTagChunk  = 3
 )
 
+// appEvent encodes a block event's block with ledger.AppendBlock behind
+// a presence marker: the bytes after that marker are the block's
+// blocks-log record body.
 func appEvent(b []byte, v *event) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
 	switch {
 	case v.Block != nil:
 		b = append(b, evTagBlock)
-		b = appendUvarint(b, v.Block.Number)
-		b = appBlock(b, v.Block.Block)
-		b = appendBool(b, v.Block.Replayed)
+		b = codec.AppendUvarint(b, v.Block.Number)
+		b = codec.AppendOpt(b, v.Block.Block, ledger.AppendBlock)
+		b = codec.AppendBool(b, v.Block.Replayed)
 	case v.Status != nil:
 		b = append(b, evTagStatus)
 		b = appTxStatusEvent(b, v.Status)
 	case v.Chunk != nil:
 		b = append(b, evTagChunk)
-		b = appendUvarint(b, v.Chunk.Index)
-		b = appendString(b, v.Chunk.Name)
-		b = appendByteSlice(b, v.Chunk.Data)
+		b = codec.AppendUvarint(b, v.Chunk.Index)
+		b = codec.AppendString(b, v.Chunk.Name)
+		b = codec.AppendOptBytes(b, v.Chunk.Data)
 	default:
 		b = append(b, evTagNone)
 	}
 	return b
 }
 
-func readEvent(r *binReader) *event {
-	if !r.presence() {
-		return nil
-	}
-	if r.err != nil || r.remaining() < 1 {
-		r.fail("event tag")
-		return nil
-	}
-	tag := r.b[r.off]
-	r.off++
+func readEvent(r *codec.Reader) *event {
 	v := &event{}
-	switch tag {
+	switch tag := r.Byte(); tag {
 	case evTagBlock:
 		v.Block = &deliver.BlockEvent{
-			Number:   r.uvarint(),
-			Block:    readBlock(r),
-			Replayed: r.bool(),
+			Number:   r.Uvarint(),
+			Block:    codec.ReadOpt(r, ledger.ReadBlock),
+			Replayed: r.Bool(),
 		}
 	case evTagStatus:
 		v.Status = readTxStatusEvent(r)
 	case evTagChunk:
-		v.Chunk = &SnapshotChunkEvent{
-			Index: r.uvarint(),
-			Name:  r.str(),
-			Data:  r.byteSlice(),
-		}
+		v.Chunk = &SnapshotChunkEvent{Index: r.Uvarint(), Name: r.String(), Data: r.OptBytes()}
 	case evTagNone:
 	default:
-		r.fail("event tag")
-		return nil
+		r.Fail(fmt.Errorf("event tag %d", tag))
 	}
 	return v
 }
 
 func appTxStatusEvent(b []byte, v *deliver.TxStatusEvent) []byte {
-	b = appendUvarint(b, v.BlockNum)
-	b = appendVarint(b, int64(v.TxIndex))
-	b = appendString(b, v.TxID)
-	b = appendVarint(b, int64(v.Code))
-	b = appendString(b, v.Detail)
-	b = appendStrings(b, v.MissingCollections)
-	b = appChaincodeEvent(b, v.ChaincodeEvent)
-	return appendBool(b, v.Replayed)
+	b = codec.AppendUvarint(b, v.BlockNum)
+	b = codec.AppendVarint(b, int64(v.TxIndex))
+	b = codec.AppendString(b, v.TxID)
+	b = codec.AppendVarint(b, int64(v.Code))
+	b = codec.AppendString(b, v.Detail)
+	b = codec.AppendStrings(b, v.MissingCollections)
+	b = codec.AppendOpt(b, v.ChaincodeEvent, ledger.AppendChaincodeEvent)
+	return codec.AppendBool(b, v.Replayed)
 }
 
-func readTxStatusEvent(r *binReader) *deliver.TxStatusEvent {
+func readTxStatusEvent(r *codec.Reader) *deliver.TxStatusEvent {
 	return &deliver.TxStatusEvent{
-		BlockNum:           r.uvarint(),
-		TxIndex:            int(r.varint()),
-		TxID:               r.str(),
-		Code:               ledger.ValidationCode(r.varint()),
-		Detail:             r.str(),
-		MissingCollections: r.strings(),
-		ChaincodeEvent:     readChaincodeEvent(r),
-		Replayed:           r.bool(),
+		BlockNum:           r.Uvarint(),
+		TxIndex:            int(r.Varint()),
+		TxID:               r.String(),
+		Code:               ledger.ValidationCode(r.Varint()),
+		Detail:             r.String(),
+		MissingCollections: r.Strings(),
+		ChaincodeEvent:     codec.ReadOpt(r, ledger.ReadChaincodeEvent),
+		Replayed:           r.Bool(),
 	}
-}
-
-// --- ledger ----------------------------------------------------------
-
-// appBlock encodes a block. Transactions travel as their canonical
-// serialization (ledger.Transaction.Bytes(), memoized JSON): encoding
-// is a copy of already-computed bytes, and decoding through
-// ledger.ParseTransaction seeds the far side's cache with the identical
-// canonical form — the block data hash, and therefore the state hash,
-// is byte-identical across processes by construction.
-func appBlock(b []byte, v *ledger.Block) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendUvarint(b, v.Header.Number)
-	b = appendByteSlice(b, v.Header.PrevHash)
-	b = appendByteSlice(b, v.Header.DataHash)
-	b = appendCount(b, len(v.Transactions), v.Transactions == nil)
-	for _, tx := range v.Transactions {
-		if tx == nil {
-			b = append(b, 0)
-			continue
-		}
-		b = appendByteSlice(b, tx.Bytes())
-	}
-	b = appendCount(b, len(v.Metadata.ValidationFlags), v.Metadata.ValidationFlags == nil)
-	for _, f := range v.Metadata.ValidationFlags {
-		b = appendVarint(b, int64(f))
-	}
-	return b
-}
-
-func readBlock(r *binReader) *ledger.Block {
-	if !r.presence() {
-		return nil
-	}
-	v := &ledger.Block{}
-	v.Header.Number = r.uvarint()
-	v.Header.PrevHash = r.byteSlice()
-	v.Header.DataHash = r.byteSlice()
-	if n := r.count(); n >= 0 && r.err == nil {
-		v.Transactions = make([]*ledger.Transaction, 0, n)
-		for i := 0; i < n; i++ {
-			raw := r.byteSliceAlias()
-			if r.err != nil {
-				return nil
-			}
-			if raw == nil {
-				v.Transactions = append(v.Transactions, nil)
-				continue
-			}
-			tx, err := ledger.ParseTransaction(raw)
-			if err != nil {
-				r.setErr(err)
-				return nil
-			}
-			v.Transactions = append(v.Transactions, tx)
-		}
-	}
-	if n := r.count(); n >= 0 && r.err == nil {
-		v.Metadata.ValidationFlags = make([]ledger.ValidationCode, n)
-		for i := range v.Metadata.ValidationFlags {
-			v.Metadata.ValidationFlags[i] = ledger.ValidationCode(r.varint())
-		}
-	}
-	return v
-}
-
-func appChaincodeEvent(b []byte, v *ledger.ChaincodeEvent) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.Name)
-	return appendByteSlice(b, v.Payload)
-}
-
-func readChaincodeEvent(r *binReader) *ledger.ChaincodeEvent {
-	if !r.presence() {
-		return nil
-	}
-	return &ledger.ChaincodeEvent{Name: r.str(), Payload: r.byteSlice()}
-}
-
-// appProposal excludes the transient map, exactly as the JSON form does
-// (`json:"-"`): confidential inputs never ride inside a proposal.
-func appProposal(b []byte, v *ledger.Proposal) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.TxID)
-	b = appendString(b, v.ChannelID)
-	b = appendString(b, v.Chaincode)
-	b = appendString(b, v.Function)
-	b = appendStrings(b, v.Args)
-	b = appendByteSlice(b, v.Creator)
-	return appendByteSlice(b, v.Nonce)
-}
-
-func readProposal(r *binReader) *ledger.Proposal {
-	if !r.presence() {
-		return nil
-	}
-	return &ledger.Proposal{
-		TxID:      r.str(),
-		ChannelID: r.str(),
-		Chaincode: r.str(),
-		Function:  r.str(),
-		Args:      r.strings(),
-		Creator:   r.byteSlice(),
-		Nonce:     r.byteSlice(),
-	}
-}
-
-func appProposalResponse(b []byte, v *ledger.ProposalResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendByteSlice(b, v.Payload)
-	b = appendByteSlice(b, v.PlainPayload)
-	b = appendVarint(b, int64(v.Response.Status))
-	b = appendString(b, v.Response.Message)
-	b = appendByteSlice(b, v.Response.Payload)
-	b = appendByteSlice(b, v.Endorsement.Endorser)
-	return appendByteSlice(b, v.Endorsement.Signature)
-}
-
-func readProposalResponse(r *binReader) *ledger.ProposalResponse {
-	if !r.presence() {
-		return nil
-	}
-	v := &ledger.ProposalResponse{}
-	v.Payload = r.byteSlice()
-	v.PlainPayload = r.byteSlice()
-	status := r.varint()
-	if status != int64(int32(status)) {
-		r.fail("response status")
-	}
-	v.Response.Status = int32(status)
-	v.Response.Message = r.str()
-	v.Response.Payload = r.byteSlice()
-	v.Endorsement.Endorser = r.byteSlice()
-	v.Endorsement.Signature = r.byteSlice()
-	return v
-}
-
-// --- rwset -----------------------------------------------------------
-
-func appCollPvtRWSet(b []byte, v *rwset.CollPvtRWSet) []byte {
-	b = appendString(b, v.Collection)
-	b = appendCount(b, len(v.Reads), v.Reads == nil)
-	for _, rd := range v.Reads {
-		b = appendString(b, rd.Key)
-		b = appendUvarint(b, uint64(rd.Version))
-	}
-	b = appendCount(b, len(v.Writes), v.Writes == nil)
-	for _, w := range v.Writes {
-		b = appendString(b, w.Key)
-		b = appendByteSlice(b, w.Value)
-		b = appendBool(b, w.IsDelete)
-	}
-	return b
-}
-
-func readCollPvtRWSet(r *binReader) rwset.CollPvtRWSet {
-	v := rwset.CollPvtRWSet{Collection: r.str()}
-	if n := r.count(); n >= 0 && r.err == nil {
-		v.Reads = make([]rwset.KVRead, n)
-		for i := range v.Reads {
-			v.Reads[i] = rwset.KVRead{Key: r.str(), Version: statedb.Version(r.uvarint())}
-		}
-	}
-	if n := r.count(); n >= 0 && r.err == nil {
-		v.Writes = make([]rwset.KVWrite, n)
-		for i := range v.Writes {
-			v.Writes[i] = rwset.KVWrite{Key: r.str(), Value: r.byteSlice(), IsDelete: r.bool()}
-		}
-	}
-	return v
-}
-
-// appCollPvtRWSetPtr adds the presence marker peer.pvt needs: "no such
-// private data" travels as nil.
-func appCollPvtRWSetPtr(b []byte, v *rwset.CollPvtRWSet) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appCollPvtRWSet(b, v)
-}
-
-func readCollPvtRWSetPtr(r *binReader) *rwset.CollPvtRWSet {
-	if !r.presence() {
-		return nil
-	}
-	v := readCollPvtRWSet(r)
-	return &v
-}
-
-func appTxPvtRWSet(b []byte, v *rwset.TxPvtRWSet) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.TxID)
-	b = appendCount(b, len(v.CollSets), v.CollSets == nil)
-	for i := range v.CollSets {
-		b = appCollPvtRWSet(b, &v.CollSets[i])
-	}
-	return b
-}
-
-func readTxPvtRWSet(r *binReader) *rwset.TxPvtRWSet {
-	if !r.presence() {
-		return nil
-	}
-	v := &rwset.TxPvtRWSet{TxID: r.str()}
-	if n := r.count(); n >= 0 && r.err == nil {
-		v.CollSets = make([]rwset.CollPvtRWSet, n)
-		for i := range v.CollSets {
-			v.CollSets[i] = readCollPvtRWSet(r)
-		}
-	}
-	return v
 }
 
 // --- service ---------------------------------------------------------
 
 func appInvokeRequest(b []byte, v *service.InvokeRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.Channel)
-	b = appendString(b, v.Chaincode)
-	b = appendString(b, v.Function)
-	b = appendStrings(b, v.Args)
-	b = appendByteMap(b, v.Transient)
-	b = appendStrings(b, v.Endorsers)
-	return appendBool(b, v.EndorsersSet)
+	b = codec.AppendString(b, v.Channel)
+	b = codec.AppendString(b, v.Chaincode)
+	b = codec.AppendString(b, v.Function)
+	b = codec.AppendStrings(b, v.Args)
+	b = codec.AppendByteMap(b, v.Transient)
+	b = codec.AppendStrings(b, v.Endorsers)
+	return codec.AppendBool(b, v.EndorsersSet)
 }
 
 func appSubmitResult(b []byte, v *service.SubmitResult) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.TxID)
-	b = appendByteSlice(b, v.Payload)
-	b = appendVarint(b, int64(v.Code))
-	b = appendString(b, v.Detail)
-	b = appendUvarint(b, v.BlockNum)
-	b = appChaincodeEvent(b, v.Event)
-	b = appendStrings(b, v.MissingCollections)
-	return appendVarint(b, int64(v.CommitWait))
+	b = codec.AppendString(b, v.TxID)
+	b = codec.AppendOptBytes(b, v.Payload)
+	b = codec.AppendVarint(b, int64(v.Code))
+	b = codec.AppendString(b, v.Detail)
+	b = codec.AppendUvarint(b, v.BlockNum)
+	b = codec.AppendOpt(b, v.Event, ledger.AppendChaincodeEvent)
+	b = codec.AppendStrings(b, v.MissingCollections)
+	return codec.AppendVarint(b, int64(v.CommitWait))
 }
 
-func readSubmitResult(r *binReader) *service.SubmitResult {
-	if !r.presence() {
-		return nil
+func readSubmitResult(r *codec.Reader) *service.SubmitResult {
+	return &service.SubmitResult{
+		TxID:               r.String(),
+		Payload:            r.OptBytes(),
+		Code:               ledger.ValidationCode(r.Varint()),
+		Detail:             r.String(),
+		BlockNum:           r.Uvarint(),
+		Event:              codec.ReadOpt(r, ledger.ReadChaincodeEvent),
+		MissingCollections: r.Strings(),
+		CommitWait:         time.Duration(r.Varint()),
 	}
-	v := &service.SubmitResult{}
-	v.TxID = r.str()
-	v.Payload = r.byteSlice()
-	v.Code = ledger.ValidationCode(r.varint())
-	v.Detail = r.str()
-	v.BlockNum = r.uvarint()
-	v.Event = readChaincodeEvent(r)
-	v.MissingCollections = r.strings()
-	v.CommitWait = time.Duration(r.varint())
-	return v
 }
 
 // --- RPC bodies ------------------------------------------------------
 
 func appEndorseRequest(b []byte, v *endorseRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appProposal(b, v.Proposal)
-	return appendByteMap(b, v.Transient)
+	b = codec.AppendOpt(b, v.Proposal, ledger.AppendProposal)
+	return codec.AppendByteMap(b, v.Transient)
 }
 
 func appSubscribeRequest(b []byte, v *subscribeRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendUvarint(b, v.From)
-	return appendBool(b, v.Live)
+	b = codec.AppendUvarint(b, v.From)
+	return codec.AppendBool(b, v.Live)
 }
 
 func appPvtRequest(b []byte, v *pvtRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.TxID)
-	return appendString(b, v.Collection)
+	b = codec.AppendString(b, v.TxID)
+	return codec.AppendString(b, v.Collection)
 }
 
 func appInfoResponse(b []byte, v *infoResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendString(b, v.Name)
-	b = appendString(b, v.Org)
-	b = appendString(b, v.Channel)
-	b = appendUvarint(b, v.Height)
-	b = appendString(b, v.StateHash)
-	return appendUvarint(b, v.Base)
+	b = codec.AppendString(b, v.Name)
+	b = codec.AppendString(b, v.Org)
+	b = codec.AppendString(b, v.Channel)
+	b = codec.AppendUvarint(b, v.Height)
+	b = codec.AppendString(b, v.StateHash)
+	return codec.AppendUvarint(b, v.Base)
 }
 
-func appOrderRequest(b []byte, v *orderRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendByteSlice(b, v.Tx)
-}
+func appOrderRequest(b []byte, v *orderRequest) []byte { return codec.AppendOptBytes(b, v.Tx) }
 
-func appTxIDRequest(b []byte, v *txIDRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendString(b, v.TxID)
-}
+func appTxIDRequest(b []byte, v *txIDRequest) []byte { return codec.AppendString(b, v.TxID) }
 
-func appBlocksRequest(b []byte, v *blocksRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendUvarint(b, v.From)
-}
+func appBlocksRequest(b []byte, v *blocksRequest) []byte { return codec.AppendUvarint(b, v.From) }
 
 func appEvaluateResponse(b []byte, v *evaluateResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendByteSlice(b, v.Payload)
+	return codec.AppendOptBytes(b, v.Payload)
 }
 
 func appSubmitAsyncResponse(b []byte, v *submitAsyncResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendUvarint(b, v.Handle)
-	return appendString(b, v.TxID)
+	b = codec.AppendUvarint(b, v.Handle)
+	return codec.AppendString(b, v.TxID)
 }
 
-func appHandleRequest(b []byte, v *handleRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendUvarint(b, v.Handle)
-}
+func appHandleRequest(b []byte, v *handleRequest) []byte { return codec.AppendUvarint(b, v.Handle) }
 
 func appSnapshotMetaResponse(b []byte, v *snapshotMetaResponse) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	b = appendUvarint(b, v.Export)
-	return appendByteSlice(b, v.Manifest)
+	b = codec.AppendUvarint(b, v.Export)
+	return codec.AppendOptBytes(b, v.Manifest)
 }
 
 func appSnapshotChunksRequest(b []byte, v *snapshotChunksRequest) []byte {
-	b = appPresence(b, v != nil)
-	if v == nil {
-		return b
-	}
-	return appendUvarint(b, v.Export)
+	return codec.AppendUvarint(b, v.Export)
 }

@@ -6,6 +6,7 @@ import (
 	"io"
 	"testing"
 
+	"repro/internal/codec"
 	"repro/internal/deliver"
 )
 
@@ -40,11 +41,7 @@ func FuzzWireFrame(f *testing.F) {
 	// A hand-built multi-event batch, so the fuzzer explores the ftEvents
 	// frame type from generation zero.
 	batch := envelope(f, &event{Block: &deliver.BlockEvent{Number: 9}})
-	payload := appendUvarint(nil, 2)
-	for i := 0; i < 2; i++ {
-		payload = appendUvarint(payload, uint64(len(batch)))
-		payload = append(payload, batch...)
-	}
+	payload := codec.AppendSlice(nil, [][]byte{batch, batch}, codec.AppendBytes)
 	f.Add(appendFrame(nil, frame{Type: ftEvents, Stream: 5, Payload: payload}))
 	f.Add([]byte{})
 	f.Add([]byte{magic0, magic1, 1, ftRequest}) // the retired JSON version

@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/codec"
 	"repro/internal/identity"
 )
 
@@ -378,12 +379,7 @@ func (k *Sink) SendBatch(evs []event) error {
 		}
 		return nil
 	}
-	buf := getBuf(total + 2)
-	buf = appendUvarint(buf, uint64(len(payloads)))
-	for _, p := range payloads {
-		buf = appendUvarint(buf, uint64(len(p)))
-		buf = append(buf, p...)
-	}
+	buf := codec.AppendSlice(getBuf(total+2), payloads, codec.AppendBytes)
 	err := k.cn.send(frame{Type: ftEvents, Stream: k.stream, Payload: buf})
 	putBuf(buf)
 	if err == nil {
