@@ -46,9 +46,9 @@ type SecurityConfig struct {
 	// value (see TestPipelineDeterminism).
 	ValidationWorkers int
 
-	// VerifyCacheSize caps the validator's LRU endorsement-verification
-	// cache (identity.VerifyCache). 0 selects the default capacity;
-	// negative disables caching.
+	// VerifyCacheSize caps the peer's LRU verification cache
+	// (identity.VerifyCache), shared by its endorser and validator. 0
+	// selects the default capacity; negative disables caching.
 	VerifyCacheSize int
 
 	// ReconcileMaxAttempts bounds the anti-entropy reconciler's attempts

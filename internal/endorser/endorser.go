@@ -39,7 +39,7 @@ var (
 // Endorser is the endorsement engine of one peer.
 type Endorser struct {
 	id        *identity.Identity
-	verifier  *identity.Verifier
+	certs     *identity.VerifyCache
 	registry  *chaincode.Registry
 	defs      func(name string) *chaincode.Definition
 	db        *statedb.DB
@@ -51,8 +51,11 @@ type Endorser struct {
 
 // Config wires an Endorser.
 type Config struct {
-	Identity  *identity.Identity
-	Verifier  *identity.Verifier
+	Identity *identity.Identity
+	// Certs validates proposal creators. The peer shares one cache
+	// between its endorser and validator, so a client certificate costs
+	// one CA-signature check per peer, not one per proposal.
+	Certs     *identity.VerifyCache
 	Registry  *chaincode.Registry
 	Defs      func(name string) *chaincode.Definition
 	DB        *statedb.DB
@@ -66,7 +69,7 @@ type Config struct {
 func New(cfg Config) *Endorser {
 	return &Endorser{
 		id:        cfg.Identity,
-		verifier:  cfg.Verifier,
+		certs:     cfg.Certs,
 		registry:  cfg.Registry,
 		defs:      cfg.Defs,
 		db:        cfg.DB,
@@ -103,11 +106,8 @@ func safeInvoke(impl chaincode.Chaincode, stub chaincode.Stub) (resp ledger.Resp
 // writes, the original private set is persisted to the transient store
 // and disseminated to member peers before the endorsement is returned.
 func (e *Endorser) ProcessProposal(prop *ledger.Proposal) (*ledger.ProposalResponse, error) {
-	creator, err := identity.ParseCertificate(prop.Creator)
+	creator, err := e.certs.ParseAndValidate(prop.Creator)
 	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadCreator, err)
-	}
-	if err := e.verifier.ValidateCertificate(creator); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadCreator, err)
 	}
 
@@ -118,7 +118,9 @@ func (e *Endorser) ProcessProposal(prop *ledger.Proposal) (*ledger.ProposalRespo
 	}
 
 	builder := rwset.NewBuilder()
-	stub := chaincode.NewSimStub(prop, creator, e.id.MSPID(), def, e.db, e.pvt, builder)
+	// The chaincode gets its own copy: the cached certificate is what this
+	// peer believes about the client on every later proposal.
+	stub := chaincode.NewSimStub(prop, creator.Clone(), e.id.MSPID(), def, e.db, e.pvt, builder)
 	stub.SetResolver(func(name string) (*chaincode.Definition, chaincode.Chaincode) {
 		return e.defs(name), e.registry.Get(name)
 	})

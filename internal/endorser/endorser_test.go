@@ -11,6 +11,7 @@ import (
 	"repro/internal/gossip"
 	"repro/internal/identity"
 	"repro/internal/ledger"
+	"repro/internal/metrics"
 	"repro/internal/pvtdata"
 	"repro/internal/rwset"
 	"repro/internal/statedb"
@@ -20,6 +21,7 @@ import (
 type env struct {
 	endorser *Endorser
 	verifier *identity.Verifier
+	counters *metrics.Counters // the verify cache's hits and misses
 	ca       *identity.CA
 	clientID *identity.Identity
 	db       *statedb.DB
@@ -78,12 +80,25 @@ func newEnv(t *testing.T, peerOrg string, sec core.SecurityConfig) *env {
 		"fail": func(stub chaincode.Stub) ledger.Response {
 			return chaincode.ErrorResponse("business rule violated")
 		},
+		// tamper rewrites everything it can reach of the creator.
+		"tamper": func(stub chaincode.Stub) ledger.Response {
+			c := stub.Creator()
+			c.Org = "org2"
+			c.Subject = "impostor"
+			c.PubKey[0] ^= 0xff
+			c.CASig[0] ^= 0xff
+			return chaincode.SuccessResponse(nil)
+		},
+		"whoami": func(stub chaincode.Stub) ledger.Response {
+			return chaincode.SuccessResponse(stub.Creator().Bytes())
+		},
 	})
 
 	def := testDef()
+	counters := &metrics.Counters{}
 	e := New(Config{
 		Identity:  peerID,
-		Verifier:  verifier,
+		Certs:     identity.NewVerifyCache(verifier, 0, counters),
 		Registry:  registry,
 		Defs:      func(name string) *chaincode.Definition { return map[string]*chaincode.Definition{"cc": def}[name] },
 		DB:        db,
@@ -92,7 +107,7 @@ func newEnv(t *testing.T, peerOrg string, sec core.SecurityConfig) *env {
 		Gossip:    gos,
 		Security:  sec,
 	})
-	return &env{endorser: e, verifier: verifier, ca: ca, clientID: clientID,
+	return &env{endorser: e, verifier: verifier, counters: counters, ca: ca, clientID: clientID,
 		db: db, pvt: pvt, trans: trans, gossip: gos}
 }
 
@@ -156,21 +171,105 @@ func TestUnknownChaincodeRejected(t *testing.T) {
 	}
 }
 
+// TestBadCreatorRejected: every kind of bad creator is rejected with
+// ErrBadCreator on every attempt (rejections are never cached), CA
+// rotation revokes an accepted certificate, and repeat proposals from one
+// client cost one CA-signature check.
 func TestBadCreatorRejected(t *testing.T) {
-	e := newEnv(t, "org1", core.OriginalFabric())
-	prop := e.proposal(t, "put")
-	prop.Creator = []byte("garbage")
-	if _, err := e.endorser.ProcessProposal(prop); !errors.Is(err, ErrBadCreator) {
-		t.Fatalf("err = %v, want ErrBadCreator", err)
+	rogueCA, err := identity.NewCA("rogue")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rogueClient, err := rogueCA.Issue("client0.rogue", identity.RoleClient)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		creator func(e *env) []byte
+	}{
+		{"garbage bytes", func(*env) []byte { return []byte("garbage") }},
+		{"unknown org", func(*env) []byte { return rogueClient.Cert.Bytes() }},
+		{"flipped CA signature", func(e *env) []byte {
+			forged := e.clientID.Cert.Clone()
+			forged.CASig[0] ^= 0x01
+			return forged.Bytes()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e := newEnv(t, "org1", core.OriginalFabric())
+			creator := tc.creator(e)
+			for attempt := 1; attempt <= 2; attempt++ {
+				prop := e.proposal(t, "put")
+				prop.Creator = creator
+				if _, err := e.endorser.ProcessProposal(prop); !errors.Is(err, ErrBadCreator) {
+					t.Fatalf("attempt %d: err = %v, want ErrBadCreator", attempt, err)
+				}
+			}
+			if got := e.counters.Get(metrics.VerifyCacheHits); got != 0 {
+				t.Fatalf("a rejected creator was served from the cache (%d hits)", got)
+			}
+			// The client's own certificate is unaffected.
+			if _, err := e.endorser.ProcessProposal(e.proposal(t, "put")); err != nil {
+				t.Fatalf("valid creator after rejections: %v", err)
+			}
+		})
 	}
 
-	// A certificate from an untrusted CA is also rejected.
-	rogueCA, _ := identity.NewCA("rogue")
-	rogueClient, _ := rogueCA.Issue("client0.rogue", identity.RoleClient)
-	prop = e.proposal(t, "put")
-	prop.Creator = rogueClient.Cert.Bytes()
-	if _, err := e.endorser.ProcessProposal(prop); !errors.Is(err, ErrBadCreator) {
-		t.Fatalf("err = %v, want ErrBadCreator", err)
+	t.Run("CA rotation revokes an accepted certificate", func(t *testing.T) {
+		e := newEnv(t, "org1", core.OriginalFabric())
+		if _, err := e.endorser.ProcessProposal(e.proposal(t, "put")); err != nil {
+			t.Fatal(err)
+		}
+		rotated, err := identity.NewCA("org1")
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.verifier.TrustCA("org1", rotated.PublicKey())
+		if _, err := e.endorser.ProcessProposal(e.proposal(t, "put")); !errors.Is(err, ErrBadCreator) {
+			t.Fatalf("err = %v after CA rotation, want ErrBadCreator", err)
+		}
+	})
+
+	t.Run("one CA check per client", func(t *testing.T) {
+		e := newEnv(t, "org1", core.OriginalFabric())
+		const n = 10
+		for i := 0; i < n; i++ {
+			if _, err := e.endorser.ProcessProposal(e.proposal(t, "put")); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := e.counters.Get(metrics.VerifyCacheMisses); got != 1 {
+			t.Fatalf("verify_cache_misses = %d after %d proposals from one client, want 1", got, n)
+		}
+		if got := e.counters.Get(metrics.VerifyCacheHits); got != n-1 {
+			t.Fatalf("verify_cache_hits = %d, want %d", got, n-1)
+		}
+	})
+}
+
+// TestChaincodeCannotRewriteCachedCreator: the creator certificate is
+// cached per peer, so a chaincode that rewrites what Stub.Creator returns
+// must not change who the peer believes the client is on later proposals.
+func TestChaincodeCannotRewriteCachedCreator(t *testing.T) {
+	e := newEnv(t, "org1", core.OriginalFabric())
+	if _, err := e.endorser.ProcessProposal(e.proposal(t, "tamper")); err != nil {
+		t.Fatal(err)
+	}
+	resp, err := e.endorser.ProcessProposal(e.proposal(t, "whoami"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := e.counters.Get(metrics.VerifyCacheHits); got != 1 {
+		t.Fatalf("second proposal was not served from the cache (%d hits)", got)
+	}
+	seen, err := identity.ParseCertificate(resp.Response.Payload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(seen.Bytes(), e.clientID.Cert.Bytes()) {
+		t.Fatalf("creator seen as %s/%s after tampering, want %s/%s",
+			seen.Org, seen.Subject, e.clientID.Cert.Org, e.clientID.Cert.Subject)
 	}
 }
 

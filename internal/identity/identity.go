@@ -81,6 +81,16 @@ func (c *Certificate) Bytes() []byte {
 	return b
 }
 
+// Clone returns a deep copy of the certificate. Certificates served by a
+// VerifyCache are shared by every later lookup and must not be mutated;
+// code that hands one to untrusted callers (chaincode) hands a clone.
+func (c *Certificate) Clone() *Certificate {
+	out := *c
+	out.PubKey = append(fabcrypto.PublicKey(nil), c.PubKey...)
+	out.CASig = append([]byte(nil), c.CASig...)
+	return &out
+}
+
 // ParseCertificate decodes a certificate serialized with Bytes.
 func ParseCertificate(b []byte) (*Certificate, error) {
 	var c Certificate

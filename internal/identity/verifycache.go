@@ -13,21 +13,26 @@ import (
 // created with capacity 0.
 const DefaultVerifyCacheSize = 4096
 
-// VerifyCache memoizes successful endorsement verifications over a
-// Verifier. Validating a block re-verifies the same endorser
-// certificates (and, when a transaction is re-validated, the same
-// signatures) over and over; each verification costs two ECDSA
+// VerifyCache memoizes successful certificate and endorsement
+// verifications over a Verifier. Each peer holds one, shared by its
+// endorser (the proposal creator's certificate) and its validator (every
+// endorser's certificate and signature). Both re-verify the same few
+// certificates over and over; each verification costs up to two ECDSA
 // operations — the CA signature over the certificate and the endorser
 // signature over the payload. The cache short-circuits both.
 //
-// Two LRU maps are kept:
+// Two kinds of entry share one LRU:
 //
 //   - certificates: serialized certificate bytes -> parsed certificate
-//     whose CA signature verified. Repeat endorsers across a block are
-//     the common case, so this hits on nearly every transaction.
+//     whose CA signature verified. Repeat clients and endorsers are the
+//     common case, so this hits on nearly every proposal and transaction.
 //   - endorsements: (certificate, message, signature) digest -> verified.
 //     This hits only when the identical transaction is re-validated
 //     (e.g. perf measurement loops, re-delivered blocks).
+//
+// A returned *Certificate is the cached value itself, shared with every
+// later hit: callers never mutate it (Certificate.Clone gives a private
+// copy).
 //
 // Invalidation rules (see docs/VALIDATION.md):
 //

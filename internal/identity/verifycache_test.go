@@ -172,6 +172,9 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 		msgs[i] = []byte{byte(i)}
 		certs[i], sigs[i] = endorse(t, id, msgs[i])
 	}
+	// Even workers check endorsements (the validator), odd ones check the
+	// bare certificate (the endorser's creator check): a peer's one cache
+	// serves both at once.
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -179,8 +182,19 @@ func TestVerifyCacheConcurrent(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				k := (w + i) % len(msgs)
-				if _, err := c.VerifyEndorsement(certs[k], msgs[k], sigs[k]); err != nil {
+				var cert *Certificate
+				var err error
+				if w%2 == 0 {
+					cert, err = c.VerifyEndorsement(certs[k], msgs[k], sigs[k])
+				} else {
+					cert, err = c.ParseAndValidate(certs[k])
+				}
+				if err != nil {
 					t.Error(err)
+					return
+				}
+				if cert.Org != "org1" {
+					t.Errorf("cached certificate names org %q", cert.Org)
 					return
 				}
 			}

@@ -226,6 +226,10 @@ type Service struct {
 	// RestartNode). Never held together with mu.
 	clusterMu sync.Mutex
 	cluster   *raft.Cluster
+	// consumed is the index of the last raft entry the ordering goroutine
+	// took from the cluster, used or dropped; compaction goes up to it.
+	// Guarded by clusterMu.
+	consumed uint64
 
 	// mu guards the block cutter state below.
 	mu      sync.Mutex
@@ -604,11 +608,14 @@ func (s *Service) orderBatch(batch []command) {
 		datas[i] = c.tx.Bytes()
 	}
 	s.clusterMu.Lock()
-	before := len(s.cluster.Committed())
+	// Entries committed between rounds (failure injection ticks the
+	// cluster) belong to a round that already failed its submitters;
+	// drop them so this round sees only what commits during it.
+	s.take()
 	start := time.Now()
 	_, _, err := s.cluster.ProposeBatch(datas, s.cfg.MaxTicks)
 	s.timings.Observe(metrics.OrdererConsensus, time.Since(start))
-	committed := s.cluster.Committed()
+	committed := s.take()
 	s.clusterMu.Unlock()
 	s.metrics.Inc(metrics.OrdererRounds)
 	if err != nil {
@@ -627,7 +634,7 @@ func (s *Service) orderBatch(batch []command) {
 	// order, so this round's handles match their entries front-to-back
 	// by TxID; earlier stragglers get no handle (theirs already failed).
 	next := 0
-	for _, e := range committed[before:] {
+	for _, e := range committed {
 		parsed, perr := ledger.ParseTransaction(e.Data)
 		if perr != nil {
 			s.mu.Unlock()
@@ -768,11 +775,22 @@ func (s *Service) maybeCompact() {
 	}
 	s.clusterMu.Lock()
 	defer s.clusterMu.Unlock()
-	if committed := s.cluster.Committed(); len(committed) > 0 {
-		// Every committed entry behind the latest cut block is
-		// recoverable from the retained blocks; drop it from the logs.
-		s.cluster.Compact(committed[len(committed)-1].Index)
+	if s.consumed > 0 {
+		// Every entry the orderer consumed lives on in a block (cut or
+		// pending) or was dropped with its failed round; the logs need
+		// not keep it.
+		s.cluster.Compact(s.consumed)
 	}
+}
+
+// take hands over the entries the cluster committed since the last take
+// and advances the consumed mark. Caller holds clusterMu.
+func (s *Service) take() []raft.Entry {
+	entries := s.cluster.TakeCommitted()
+	if n := len(entries); n > 0 {
+		s.consumed = entries[n-1].Index
+	}
+	return entries
 }
 
 // retryRetainCompact re-runs the drain-gated retention compaction if one

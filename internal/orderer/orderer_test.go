@@ -3,6 +3,8 @@ package orderer
 import (
 	"errors"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -411,5 +413,54 @@ func TestSubscriptionCloseStopsDelivery(t *testing.T) {
 	}
 	if svc.Height() != 6 {
 		t.Fatalf("height = %d, want 6", svc.Height())
+	}
+}
+
+// TestRoundAllocationIndependentOfHeight: one ordering round allocates
+// about as much at chain height ≈20 000 as at ≈100. A round must pay for
+// its own batch, never for the committed history behind it.
+func TestRoundAllocationIndependentOfHeight(t *testing.T) {
+	svc := New(Config{OrdererCount: 3, BatchSize: 1, Seed: 19})
+	defer svc.Stop()
+	id := 0
+	fill := func(height int) {
+		waits := make([]*Wait, 0, height)
+		for ; id < height; id++ {
+			waits = append(waits, svc.SubmitAsync(tx(fmt.Sprintf("h%06d", id))))
+		}
+		for _, w := range waits {
+			if err := w.Wait(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	// roundAlloc is the median allocation of single-transaction rounds;
+	// the median ignores the rare round that regrows a slice.
+	roundAlloc := func() uint64 {
+		const rounds = 15
+		var ms runtime.MemStats
+		deltas := make([]uint64, rounds)
+		for i := range deltas {
+			next := tx(fmt.Sprintf("h%06d", id))
+			id++
+			runtime.ReadMemStats(&ms)
+			before := ms.TotalAlloc
+			if err := svc.Submit(next); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&ms)
+			deltas[i] = ms.TotalAlloc - before
+		}
+		slices.Sort(deltas)
+		return deltas[rounds/2]
+	}
+
+	fill(100)
+	low := roundAlloc()
+	fill(20_000)
+	high := roundAlloc()
+	t.Logf("bytes allocated per round: %d at height ≈100, %d at height ≈20000", low, high)
+	if high > 2*low {
+		t.Fatalf("a round at height ≈20000 allocates %d bytes, more than twice the %d at height ≈100", high, low)
 	}
 }

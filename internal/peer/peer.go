@@ -137,10 +137,12 @@ func New(cfg Config) (*Peer, error) {
 		// RestoreBatch, so nothing is double-flushed.
 		db.EnableJournal()
 	}
-	verifier := cfg.Channel.Verifier()
+	// One verification cache per peer: the endorser's creator checks and
+	// the validator's endorsement checks hit the same certificates.
+	certs := identity.NewVerifyCache(cfg.Channel.Verifier(), cfg.Security.VerifyCacheSize, &p.metrics)
 	p.endorser = endorser.New(endorser.Config{
 		Identity:  cfg.Identity,
-		Verifier:  verifier,
+		Certs:     certs,
 		Registry:  p.registry,
 		Defs:      p.Definition,
 		DB:        db,
@@ -157,7 +159,7 @@ func New(cfg Config) (*Peer, error) {
 		SelfName:  cfg.Identity.Subject(),
 		SelfOrg:   cfg.Identity.MSPID(),
 		Channel:   cfg.Channel,
-		Verifier:  verifier,
+		Certs:     certs,
 		Defs:      p.Definition,
 		DB:        db,
 		Pvt:       p.pvt,
@@ -165,7 +167,6 @@ func New(cfg Config) (*Peer, error) {
 		Gossip:    cfg.Gossip,
 		Blocks:    p.blocks,
 		Security:  cfg.Security,
-		Metrics:   &p.metrics,
 		Timings:   &p.timings,
 		Durable:   durablePvt,
 	})

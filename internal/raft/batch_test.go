@@ -18,7 +18,7 @@ func TestProposeBatchCommitsAllInOrder(t *testing.T) {
 	if last-first+1 != uint64(len(datas)) {
 		t.Fatalf("index range [%d,%d] for %d entries", first, last, len(datas))
 	}
-	committed := c.Committed()
+	committed := c.TakeCommitted()
 	if len(committed) != len(datas) {
 		t.Fatalf("committed %d entries, want %d", len(committed), len(datas))
 	}
@@ -31,19 +31,24 @@ func TestProposeBatchCommitsAllInOrder(t *testing.T) {
 
 func TestProposeBatchInterleavesWithSingleProposals(t *testing.T) {
 	c := NewCluster(3, 12)
+	var got []string
+	take := func() {
+		for _, e := range c.TakeCommitted() {
+			got = append(got, string(e.Data))
+		}
+	}
 	if _, err := c.Propose([]byte("pre"), 200); err != nil {
 		t.Fatal(err)
 	}
+	take()
 	if _, _, err := c.ProposeBatch([][]byte{[]byte("a"), []byte("b")}, 200); err != nil {
 		t.Fatal(err)
 	}
+	take()
 	if _, err := c.Propose([]byte("post"), 200); err != nil {
 		t.Fatal(err)
 	}
-	var got []string
-	for _, e := range c.Committed() {
-		got = append(got, string(e.Data))
-	}
+	take()
 	want := []string{"pre", "a", "b", "post"}
 	if len(got) != len(want) {
 		t.Fatalf("committed %v", got)
@@ -61,7 +66,7 @@ func TestProposeBatchEmptyIsNoOp(t *testing.T) {
 	if err != nil || first != 0 || last != 0 {
 		t.Fatalf("empty batch: first=%d last=%d err=%v", first, last, err)
 	}
-	if len(c.Committed()) != 0 {
+	if len(c.TakeCommitted()) != 0 {
 		t.Fatal("empty batch committed entries")
 	}
 }
@@ -90,6 +95,7 @@ func TestProposeBatchSurvivesLeaderCrash(t *testing.T) {
 	if _, _, err := c.ProposeBatch([][]byte{[]byte("a"), []byte("b")}, 200); err != nil {
 		t.Fatal(err)
 	}
+	taken := c.TakeCommitted()
 	leader, err := c.ElectLeader(200)
 	if err != nil {
 		t.Fatal(err)
@@ -99,10 +105,13 @@ func TestProposeBatchSurvivesLeaderCrash(t *testing.T) {
 		t.Fatalf("batch after leader crash: %v", err)
 	}
 	var got []string
-	for _, e := range c.Committed() {
+	for _, e := range append(taken, c.TakeCommitted()...) {
 		got = append(got, string(e.Data))
 	}
 	want := []string{"a", "b", "c", "d"}
+	if len(got) != len(want) {
+		t.Fatalf("committed %v, want %v", got, want)
+	}
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("committed %v, want %v", got, want)

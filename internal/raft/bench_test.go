@@ -21,6 +21,7 @@ func BenchmarkCommitLatency(b *testing.B) {
 				if _, err := c.Propose(payload, 500); err != nil {
 					b.Fatal(err)
 				}
+				c.TakeCommitted()
 			}
 		})
 	}
@@ -50,6 +51,7 @@ func BenchmarkProposeBatch(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			c.TakeCommitted()
 		}
 	})
 	b.Run(fmt.Sprintf("batched/n=%d", n), func(b *testing.B) {
@@ -62,6 +64,7 @@ func BenchmarkProposeBatch(b *testing.B) {
 			if _, _, err := c.ProposeBatch(datas, 500); err != nil {
 				b.Fatal(err)
 			}
+			c.TakeCommitted()
 		}
 	})
 }

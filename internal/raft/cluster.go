@@ -19,9 +19,10 @@ type Cluster struct {
 	cut map[[2]NodeID]bool
 	// inbox holds in-flight messages.
 	inbox []Message
-	// committed accumulates entries in commit order, deduplicated by
-	// index, as observed on any live node (all nodes agree by raft
-	// safety; tests assert this explicitly).
+	// committed holds the entries committed since the last
+	// TakeCommitted, in commit order, deduplicated by index, as observed
+	// on any live node (all nodes agree by raft safety; tests assert this
+	// explicitly). Leader no-op (empty) entries are never recorded.
 	committed     []Entry
 	nextCommitIdx uint64
 }
@@ -145,22 +146,23 @@ func (c *Cluster) drain() {
 
 func (c *Cluster) recordCommitted(entries []Entry) {
 	for _, e := range entries {
-		if e.Index == c.nextCommitIdx {
+		if e.Index != c.nextCommitIdx {
+			continue
+		}
+		c.nextCommitIdx++
+		if len(e.Data) > 0 {
 			c.committed = append(c.committed, e)
-			c.nextCommitIdx++
 		}
 	}
 }
 
-// Committed returns the globally committed entries observed so far, with
-// leader no-op (empty) entries filtered out.
-func (c *Cluster) Committed() []Entry {
-	var out []Entry
-	for _, e := range c.committed {
-		if len(e.Data) > 0 {
-			out = append(out, e)
-		}
-	}
+// TakeCommitted returns the entries committed since the previous call,
+// in commit order with leader no-op (empty) entries filtered out, and
+// forgets them. A caller that takes once per round therefore pays for
+// that round's entries only, however long the log has grown.
+func (c *Cluster) TakeCommitted() []Entry {
+	out := c.committed
+	c.committed = nil
 	return out
 }
 

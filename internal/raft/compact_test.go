@@ -31,7 +31,7 @@ func TestCompactBasics(t *testing.T) {
 	if _, err := c.Propose([]byte("after"), 300); err != nil {
 		t.Fatalf("propose after compaction: %v", err)
 	}
-	if got := c.Committed(); string(got[len(got)-1].Data) != "after" {
+	if got := c.TakeCommitted(); string(got[len(got)-1].Data) != "after" {
 		t.Fatal("post-compaction entry lost")
 	}
 }
@@ -97,15 +97,16 @@ func TestSnapshotCatchUp(t *testing.T) {
 // never break the committed-prefix agreement.
 func TestCompactionPreservesSafety(t *testing.T) {
 	c := NewCluster(3, 29)
+	var got []Entry
 	for i := 0; i < 10; i++ {
 		if _, err := c.Propose([]byte(fmt.Sprintf("e%d", i)), 300); err != nil {
 			t.Fatal(err)
 		}
+		got = append(got, c.TakeCommitted()...)
 		if i%3 == 2 {
 			c.Compact(uint64(i))
 		}
 	}
-	got := c.Committed()
 	if len(got) != 10 {
 		t.Fatalf("committed %d entries, want 10", len(got))
 	}

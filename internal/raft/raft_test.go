@@ -24,7 +24,7 @@ func TestSingleNodeBecomesLeader(t *testing.T) {
 	if _, err := c.Propose([]byte("x"), 100); err != nil {
 		t.Fatalf("propose: %v", err)
 	}
-	if got := c.Committed(); len(got) != 1 || string(got[0].Data) != "x" {
+	if got := c.TakeCommitted(); len(got) != 1 || string(got[0].Data) != "x" {
 		t.Fatalf("committed = %v", got)
 	}
 }
@@ -57,12 +57,13 @@ func TestThreeNodeElection(t *testing.T) {
 
 func TestReplicationAcrossNodes(t *testing.T) {
 	c := NewCluster(3, 7)
+	var committed []Entry
 	for i := 0; i < 5; i++ {
 		if _, err := c.Propose([]byte(fmt.Sprintf("entry%d", i)), 200); err != nil {
 			t.Fatalf("propose %d: %v", i, err)
 		}
+		committed = append(committed, c.TakeCommitted()...)
 	}
-	committed := c.Committed()
 	if len(committed) != 5 {
 		t.Fatalf("committed %d entries", len(committed))
 	}
@@ -92,12 +93,44 @@ func TestReplicationAcrossNodes(t *testing.T) {
 	}
 }
 
+// TestTakeCommittedHandsOutEachEntryOnce: entries taken round by round
+// concatenate to the whole committed sequence, each exactly once, and a
+// drained cluster holds no committed entries.
+func TestTakeCommittedHandsOutEachEntryOnce(t *testing.T) {
+	c := NewCluster(3, 17)
+	var got []string
+	for round := 0; round < 4; round++ {
+		datas := [][]byte{[]byte(fmt.Sprintf("r%d-a", round)), []byte(fmt.Sprintf("r%d-b", round))}
+		if _, _, err := c.ProposeBatch(datas, 200); err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range c.TakeCommitted() {
+			got = append(got, string(e.Data))
+		}
+		if len(c.committed) != 0 {
+			t.Fatalf("round %d: cluster still holds %d committed entries after a take", round, len(c.committed))
+		}
+		if again := c.TakeCommitted(); len(again) != 0 {
+			t.Fatalf("round %d: second take returned %d entries", round, len(again))
+		}
+	}
+	if len(got) != 8 {
+		t.Fatalf("took %v, want 8 entries", got)
+	}
+	for i, d := range got {
+		if want := fmt.Sprintf("r%d-%c", i/2, 'a'+i%2); d != want {
+			t.Fatalf("entry %d = %q, want %q", i, d, want)
+		}
+	}
+}
+
 func TestLeaderCrashTriggersReelection(t *testing.T) {
 	c := NewCluster(3, 11)
 	old := mustElect(t, c)
 	if _, err := c.Propose([]byte("before"), 200); err != nil {
 		t.Fatal(err)
 	}
+	entries := c.TakeCommitted()
 
 	c.Crash(old.ID())
 	newLeader, err := c.ElectLeader(500)
@@ -115,7 +148,7 @@ func TestLeaderCrashTriggersReelection(t *testing.T) {
 	if _, err := c.Propose([]byte("after"), 500); err != nil {
 		t.Fatalf("propose after crash: %v", err)
 	}
-	entries := c.Committed()
+	entries = append(entries, c.TakeCommitted()...)
 	if len(entries) != 2 || string(entries[1].Data) != "after" {
 		t.Fatalf("committed = %v", entries)
 	}

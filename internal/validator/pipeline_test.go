@@ -82,7 +82,7 @@ func (f *pipelineFixture) newPeer(workers int) *pipelinePeer {
 		SelfName:  "peer0.org2",
 		SelfOrg:   "org2",
 		Channel:   f.cfg,
-		Verifier:  f.cfg.Verifier(),
+		Certs:     identity.NewVerifyCache(f.cfg.Verifier(), sec.VerifyCacheSize, p.counters),
 		Defs:      func(name string) *chaincode.Definition { return map[string]*chaincode.Definition{"cc": f.def}[name] },
 		DB:        db,
 		Pvt:       pvtdata.NewStore(db),
@@ -90,7 +90,6 @@ func (f *pipelineFixture) newPeer(workers int) *pipelinePeer {
 		Gossip:    gossip.NewNetwork(),
 		Blocks:    p.blocks,
 		Security:  sec,
-		Metrics:   p.counters,
 		Timings:   p.timings,
 	})
 	return p

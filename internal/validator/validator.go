@@ -37,7 +37,6 @@ type Validator struct {
 	selfName   string
 	selfOrg    string
 	channelCfg *channel.Config
-	verifier   *identity.Verifier
 	vcache     *identity.VerifyCache
 	dedupe     *dedupCache // nil when disabled
 	defs       func(name string) *chaincode.Definition
@@ -47,8 +46,7 @@ type Validator struct {
 	gossip     *gossip.Network
 	blocks     *ledger.BlockStore
 	sec        core.SecurityConfig
-	counters   *metrics.Counters // optional
-	timings    *metrics.Timings  // optional
+	timings    *metrics.Timings // optional
 
 	// missing records private data the peer could not obtain at commit
 	// time (tx ID -> collection names), mirroring Fabric's missing
@@ -67,10 +65,12 @@ type Validator struct {
 
 // Config wires a Validator.
 type Config struct {
-	SelfName  string
-	SelfOrg   string
-	Channel   *channel.Config
-	Verifier  *identity.Verifier
+	SelfName string
+	SelfOrg  string
+	Channel  *channel.Config
+	// Certs verifies endorsements. The peer shares it with its endorser,
+	// which checks proposal creators against the same entries.
+	Certs     *identity.VerifyCache
 	Defs      func(name string) *chaincode.Definition
 	DB        *statedb.DB
 	Pvt       *pvtdata.Store
@@ -78,9 +78,6 @@ type Config struct {
 	Gossip    *gossip.Network
 	Blocks    *ledger.BlockStore
 	Security  core.SecurityConfig
-	// Metrics, when non-nil, receives verification-cache hit/miss
-	// counters.
-	Metrics *metrics.Counters
 	// Timings, when non-nil, receives the per-phase validation latency
 	// histograms (metrics.ValidateVerify/Policy/MVCC/Commit).
 	Timings *metrics.Timings
@@ -99,8 +96,7 @@ func New(cfg Config) *Validator {
 		selfName:   cfg.SelfName,
 		selfOrg:    cfg.SelfOrg,
 		channelCfg: cfg.Channel,
-		verifier:   cfg.Verifier,
-		vcache:     identity.NewVerifyCache(cfg.Verifier, cfg.Security.VerifyCacheSize, cfg.Metrics),
+		vcache:     cfg.Certs,
 		dedupe:     dd,
 		defs:       cfg.Defs,
 		db:         cfg.DB,
@@ -109,7 +105,6 @@ func New(cfg Config) *Validator {
 		gossip:     cfg.Gossip,
 		blocks:     cfg.Blocks,
 		sec:        cfg.Security,
-		counters:   cfg.Metrics,
 		timings:    cfg.Timings,
 		durable:    cfg.Durable,
 		missing:    make(map[string][]string),
@@ -181,9 +176,10 @@ func (v *Validator) DedupStats() DedupStats {
 	return v.dedupe.Stats()
 }
 
-// FlushVerifyCache drops every memoized endorsement verification.
-// Benchmarks use it to measure the uncached path; operators never need
-// it (CA rotation invalidates entries by generation).
+// FlushVerifyCache drops every memoized verification in the peer's
+// cache, the endorser's creator checks included. Benchmarks use it to
+// measure the uncached path; operators never need it (CA rotation
+// invalidates entries by generation).
 func (v *Validator) FlushVerifyCache() { v.vcache.Flush() }
 
 // SetSecurity swaps the active security configuration.

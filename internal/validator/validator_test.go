@@ -66,7 +66,7 @@ func newFixture(t *testing.T, sec core.SecurityConfig, collEP string) *fixture {
 		SelfName:  "peer0.org2",
 		SelfOrg:   "org2",
 		Channel:   cfg,
-		Verifier:  cfg.Verifier(),
+		Certs:     identity.NewVerifyCache(cfg.Verifier(), sec.VerifyCacheSize, nil),
 		Defs:      func(name string) *chaincode.Definition { return map[string]*chaincode.Definition{"cc": def}[name] },
 		DB:        db,
 		Pvt:       pvt,
