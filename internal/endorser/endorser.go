@@ -52,9 +52,11 @@ type Endorser struct {
 // Config wires an Endorser.
 type Config struct {
 	Identity *identity.Identity
-	// Certs validates proposal creators. The peer shares one cache
-	// between its endorser and validator, so a client certificate costs
-	// one CA-signature check per peer, not one per proposal.
+	// Certs validates proposal creators and signs endorsements. The peer
+	// shares one cache between its endorser and validator, so a client
+	// certificate costs one CA-signature check per peer, not one per
+	// proposal, and the validator never re-verifies what this endorser
+	// signed.
 	Certs     *identity.VerifyCache
 	Registry  *chaincode.Registry
 	Defs      func(name string) *chaincode.Definition
@@ -170,7 +172,10 @@ func (e *Endorser) ProcessProposal(prop *ledger.Proposal) (*ledger.ProposalRespo
 	} else {
 		out.Payload = prp.Bytes()
 	}
-	sig, err := e.id.Sign(out.Payload)
+	// Signing through the peer's cache records the endorsement as
+	// verified, so this peer's validator does not re-verify its own
+	// signature when the block arrives.
+	sig, err := e.certs.SignEndorsement(e.id, out.Payload)
 	if err != nil {
 		return nil, fmt.Errorf("endorser: sign response for tx %s: %w", prop.TxID, err)
 	}

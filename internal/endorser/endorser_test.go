@@ -21,7 +21,8 @@ import (
 type env struct {
 	endorser *Endorser
 	verifier *identity.Verifier
-	counters *metrics.Counters // the verify cache's hits and misses
+	certs    *identity.VerifyCache // the peer's one cache
+	counters *metrics.Counters     // the verify cache's hits and misses
 	ca       *identity.CA
 	clientID *identity.Identity
 	db       *statedb.DB
@@ -96,9 +97,10 @@ func newEnv(t *testing.T, peerOrg string, sec core.SecurityConfig) *env {
 
 	def := testDef()
 	counters := &metrics.Counters{}
+	certs := identity.NewVerifyCache(verifier, 0, counters)
 	e := New(Config{
 		Identity:  peerID,
-		Certs:     identity.NewVerifyCache(verifier, 0, counters),
+		Certs:     certs,
 		Registry:  registry,
 		Defs:      func(name string) *chaincode.Definition { return map[string]*chaincode.Definition{"cc": def}[name] },
 		DB:        db,
@@ -107,7 +109,7 @@ func newEnv(t *testing.T, peerOrg string, sec core.SecurityConfig) *env {
 		Gossip:    gos,
 		Security:  sec,
 	})
-	return &env{endorser: e, verifier: verifier, counters: counters, ca: ca, clientID: clientID,
+	return &env{endorser: e, verifier: verifier, certs: certs, counters: counters, ca: ca, clientID: clientID,
 		db: db, pvt: pvt, trans: trans, gossip: gos}
 }
 
@@ -246,6 +248,48 @@ func TestBadCreatorRejected(t *testing.T) {
 			t.Fatalf("verify_cache_hits = %d, want %d", got, n-1)
 		}
 	})
+}
+
+// TestOwnEndorsementsCostNoMisses: the endorser signs through the peer's
+// cache, so validating N of its own endorsements through that cache adds
+// N hits and no verify_cache_misses, with and without Feature 2's hashed
+// payload.
+func TestOwnEndorsementsCostNoMisses(t *testing.T) {
+	for name, sec := range map[string]core.SecurityConfig{
+		"original": core.OriginalFabric(),
+		"defended": core.DefendedFabric(),
+	} {
+		t.Run(name, func(t *testing.T) {
+			e := newEnv(t, "org1", sec)
+			const n = 5
+			resps := make([]*ledger.ProposalResponse, 0, n)
+			for i := 0; i < n; i++ {
+				resp, err := e.endorser.ProcessProposal(e.proposal(t, "put"))
+				if err != nil {
+					t.Fatal(err)
+				}
+				resps = append(resps, resp)
+			}
+			hits, misses := e.counters.Get(metrics.VerifyCacheHits), e.counters.Get(metrics.VerifyCacheMisses)
+			entries := e.certs.Len()
+			for _, r := range resps {
+				if _, err := e.certs.VerifyEndorsement(r.Endorsement.Endorser, fabcrypto.Hash(r.Payload), r.Endorsement.Signature); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if got := e.counters.Get(metrics.VerifyCacheMisses) - misses; got != 0 {
+				t.Fatalf("validating %d own endorsements added %d verify_cache_misses, want 0", n, got)
+			}
+			if got := e.counters.Get(metrics.VerifyCacheHits) - hits; got != n {
+				t.Fatalf("validating %d own endorsements added %d hits, want %d", n, got, n)
+			}
+			// A certificate-level hit followed by a signature check would
+			// also count as a hit, but would store a new entry.
+			if got := e.certs.Len(); got != entries {
+				t.Fatalf("cache grew from %d to %d entries: the endorsements were verified, not recorded", entries, got)
+			}
+		})
+	}
 }
 
 // TestChaincodeCannotRewriteCachedCreator: the creator certificate is

@@ -110,6 +110,36 @@ func TestSignVerify(t *testing.T) {
 	}
 }
 
+// TestDigestFormsInteroperate pins Sign/Verify as wrappers over the digest
+// forms: a signature made either way verifies either way, and only over
+// the digest of the message it signed.
+func TestDigestFormsInteroperate(t *testing.T) {
+	kp := MustGenerateKeyPair()
+	msg := []byte("endorse me")
+	viaMsg, err := kp.Sign(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	viaDigest, err := kp.SignDigest(Hash(msg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, sig := range map[string][]byte{"Sign": viaMsg, "SignDigest": viaDigest} {
+		if err := Verify(kp.PublicKey(), msg, sig); err != nil {
+			t.Errorf("%s signature fails Verify: %v", name, err)
+		}
+		if err := VerifyDigest(kp.PublicKey(), Hash(msg), sig); err != nil {
+			t.Errorf("%s signature fails VerifyDigest: %v", name, err)
+		}
+		if err := VerifyDigest(kp.PublicKey(), Hash([]byte("tampered")), sig); err == nil {
+			t.Errorf("%s signature verified over another digest", name)
+		}
+		if err := VerifyDigest(kp.PublicKey(), msg, sig); err == nil {
+			t.Errorf("%s signature verified with the raw message as digest", name)
+		}
+	}
+}
+
 func TestPublicKeyString(t *testing.T) {
 	kp := MustGenerateKeyPair()
 	if s := kp.PublicKey().String(); len(s) != 12 {

@@ -45,8 +45,11 @@ func (k *KeyPair) PublicKey() PublicKey {
 }
 
 // Sign signs the SHA-256 digest of msg and returns an ASN.1 DER signature.
-func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
-	digest := Hash(msg)
+func (k *KeyPair) Sign(msg []byte) ([]byte, error) { return k.SignDigest(Hash(msg)) }
+
+// SignDigest signs a SHA-256 digest the caller already computed, for
+// callers that need the digest themselves and hash each payload once.
+func (k *KeyPair) SignDigest(digest []byte) ([]byte, error) {
 	sig, err := ecdsa.SignASN1(rand.Reader, k.priv, digest)
 	if err != nil {
 		return nil, fmt.Errorf("ecdsa sign: %w", err)
@@ -58,13 +61,17 @@ func (k *KeyPair) Sign(msg []byte) ([]byte, error) {
 type PublicKey []byte
 
 // Verify checks sig over the SHA-256 digest of msg under pub.
-func Verify(pub PublicKey, msg, sig []byte) error {
+func Verify(pub PublicKey, msg, sig []byte) error { return VerifyDigest(pub, Hash(msg), sig) }
+
+// VerifyDigest checks sig over a SHA-256 digest under pub; Verify is
+// VerifyDigest over Hash(msg).
+func VerifyDigest(pub PublicKey, digest, sig []byte) error {
 	x, y := elliptic.Unmarshal(elliptic.P256(), pub)
 	if x == nil {
 		return errors.New("fabcrypto: malformed public key")
 	}
 	pk := ecdsa.PublicKey{Curve: elliptic.P256(), X: x, Y: y}
-	if !ecdsa.VerifyASN1(&pk, Hash(msg), sig) {
+	if !ecdsa.VerifyASN1(&pk, digest, sig) {
 		return ErrInvalidSignature
 	}
 	return nil

@@ -109,7 +109,14 @@ type Identity struct {
 
 // Sign signs msg with the identity's private key.
 func (id *Identity) Sign(msg []byte) ([]byte, error) {
-	sig, err := id.key.Sign(msg)
+	return id.signDigest(fabcrypto.Hash(msg))
+}
+
+// signDigest signs the SHA-256 digest of a message with the identity's
+// private key; VerifyCache.SignEndorsement keeps the digest for its
+// entry key.
+func (id *Identity) signDigest(digest []byte) ([]byte, error) {
+	sig, err := id.key.SignDigest(digest)
 	if err != nil {
 		return nil, fmt.Errorf("identity %s: %w", id.Cert.Subject, err)
 	}

@@ -1,6 +1,7 @@
 package identity
 
 import (
+	"bytes"
 	"container/list"
 	"fmt"
 	"sync"
@@ -26,9 +27,11 @@ const DefaultVerifyCacheSize = 4096
 //   - certificates: serialized certificate bytes -> parsed certificate
 //     whose CA signature verified. Repeat clients and endorsers are the
 //     common case, so this hits on nearly every proposal and transaction.
-//   - endorsements: (certificate, message, signature) digest -> verified.
-//     This hits only when the identical transaction is re-validated
-//     (e.g. perf measurement loops, re-delivered blocks).
+//   - endorsements: H(certificate ‖ payload digest ‖ signature) ->
+//     verified. SignEndorsement stores the peer's own endorsements as it
+//     signs them, so the validator never verifies a signature its own
+//     peer made. Anyone else's endorsement hits only when the identical
+//     transaction is re-validated (re-delivered blocks, replays).
 //
 // A returned *Certificate is the cached value itself, shared with every
 // later hit: callers never mutate it (Certificate.Clone gives a private
@@ -36,6 +39,8 @@ const DefaultVerifyCacheSize = 4096
 //
 // Invalidation rules (see docs/VALIDATION.md):
 //
+//   - Only entries the cache verified, or signed itself, are stored; no
+//     exported method takes a verdict from its caller.
 //   - Only SUCCESSFUL verifications are cached. A signature that fails
 //     because the org's CA is not yet trusted must be re-checked after a
 //     later TrustCA, so negative results are never stored.
@@ -65,7 +70,8 @@ type cacheEntry struct {
 // NewVerifyCache wraps a Verifier with an LRU verification cache.
 // capacity 0 selects DefaultVerifyCacheSize; a negative capacity
 // disables caching entirely (every call verifies in full). counters, when
-// non-nil, receives VerifyCacheHits/VerifyCacheMisses.
+// non-nil, receives one VerifyCacheHits or VerifyCacheMisses per lookup
+// (ParseAndValidate, VerifyEndorsement); SignEndorsement counts nothing.
 func NewVerifyCache(v *Verifier, capacity int, counters *metrics.Counters) *VerifyCache {
 	if capacity == 0 {
 		capacity = DefaultVerifyCacheSize
@@ -139,12 +145,15 @@ func (c *VerifyCache) store(key string, e *cacheEntry) {
 	}
 }
 
-func (c *VerifyCache) hit()  { c.count(metrics.VerifyCacheHits) }
-func (c *VerifyCache) miss() { c.count(metrics.VerifyCacheMisses) }
-
-func (c *VerifyCache) count(name string) {
-	if c.counters != nil {
-		c.counters.Inc(name)
+// count records one lookup's outcome.
+func (c *VerifyCache) count(hit bool) {
+	if c.counters == nil {
+		return
+	}
+	if hit {
+		c.counters.Inc(metrics.VerifyCacheHits)
+	} else {
+		c.counters.Inc(metrics.VerifyCacheMisses)
 	}
 }
 
@@ -152,49 +161,89 @@ func certKey(certBytes []byte) string {
 	return "c/" + string(fabcrypto.Hash(certBytes))
 }
 
-func endorsementKey(certBytes, msg, sig []byte) string {
-	return "e/" + string(fabcrypto.HashConcat(certBytes, msg, sig))
+func endorsementKey(certBytes, digest, sig []byte) string {
+	return "e/" + string(fabcrypto.HashConcat(certBytes, digest, sig))
 }
 
 // ParseAndValidate parses a serialized certificate and checks its CA
 // signature, serving repeat certificates from the cache.
 func (c *VerifyCache) ParseAndValidate(certBytes []byte) (*Certificate, error) {
-	gen := c.verifier.Generation()
-	key := certKey(certBytes)
-	if e, ok := c.lookup(key, gen); ok {
-		c.hit()
-		return e.cert, nil
-	}
-	c.miss()
-	cert, err := ParseCertificate(certBytes)
-	if err != nil {
-		return nil, err
-	}
-	if err := c.verifier.ValidateCertificate(cert); err != nil {
-		return nil, err
-	}
-	c.store(key, &cacheEntry{key: key, gen: gen, cert: cert})
-	return cert, nil
+	cert, hit, err := c.certificate(certBytes, c.verifier.Generation())
+	c.count(hit)
+	return cert, err
 }
 
-// VerifyEndorsement checks that sig over msg was produced by the subject
-// of the serialized certificate, and that the certificate is valid under
-// a trusted CA — the cached equivalent of ParseCertificate +
-// Verifier.VerifySignature. On a full hit no ECDSA operation runs.
-func (c *VerifyCache) VerifyEndorsement(certBytes, msg, sig []byte) (*Certificate, error) {
+// certificate is ParseAndValidate under a generation the caller read
+// before the check, without touching the counters. hit reports whether
+// the certificate came from the cache.
+func (c *VerifyCache) certificate(certBytes []byte, gen uint64) (cert *Certificate, hit bool, err error) {
+	key := certKey(certBytes)
+	if e, ok := c.lookup(key, gen); ok {
+		return e.cert, true, nil
+	}
+	cert, err = ParseCertificate(certBytes)
+	if err != nil {
+		return nil, false, err
+	}
+	if err := c.verifier.ValidateCertificate(cert); err != nil {
+		return nil, false, err
+	}
+	c.store(key, &cacheEntry{key: key, gen: gen, cert: cert})
+	return cert, false, nil
+}
+
+// VerifyEndorsement checks that sig over the payload whose SHA-256 digest
+// is digest was produced by the subject of the serialized certificate,
+// and that the certificate is valid under a trusted CA — the cached
+// equivalent of ParseCertificate + Verifier.VerifySignature. The caller
+// hashes the payload once and passes the digest to every endorsement
+// over it. On a full hit no ECDSA operation runs.
+func (c *VerifyCache) VerifyEndorsement(certBytes, digest, sig []byte) (*Certificate, error) {
 	gen := c.verifier.Generation()
-	eKey := endorsementKey(certBytes, msg, sig)
+	eKey := endorsementKey(certBytes, digest, sig)
 	if e, ok := c.lookup(eKey, gen); ok {
-		c.hit()
+		c.count(true)
 		return e.cert, nil
 	}
-	cert, err := c.ParseAndValidate(certBytes)
+	cert, hit, err := c.certificate(certBytes, gen)
+	c.count(hit)
 	if err != nil {
 		return nil, err
 	}
-	if err := fabcrypto.Verify(cert.PubKey, msg, sig); err != nil {
+	if err := fabcrypto.VerifyDigest(cert.PubKey, digest, sig); err != nil {
 		return nil, fmt.Errorf("identity: signature by %q: %w", cert.Subject, err)
 	}
 	c.store(eKey, &cacheEntry{key: eKey, gen: gen, cert: cert})
 	return cert, nil
+}
+
+// SignEndorsement signs payload as id and records the endorsement as
+// verified: the entry VerifyEndorsement would store after checking the
+// same certificate, digest and signature. When the peer later validates
+// its own endorsement, the lookup hits and no ECDSA verification runs;
+// every other endorsement is verified in full.
+//
+// The signature is returned whether or not it is recorded. It is
+// recorded only when the cache is enabled, id's private key is the key
+// its certificate names, and the certificate passes the CA check under
+// the generation read before that check. Recording is not a lookup and
+// counts as neither hit nor miss.
+func (c *VerifyCache) SignEndorsement(id *Identity, payload []byte) ([]byte, error) {
+	digest := fabcrypto.Hash(payload)
+	sig, err := id.signDigest(digest)
+	if err != nil {
+		return nil, err
+	}
+	if c.cap < 0 {
+		return sig, nil
+	}
+	gen := c.verifier.Generation()
+	certBytes := id.Cert.Bytes()
+	cert, _, err := c.certificate(certBytes, gen)
+	if err != nil || !bytes.Equal(cert.PubKey, id.key.PublicKey()) {
+		return sig, nil
+	}
+	eKey := endorsementKey(certBytes, digest, sig)
+	c.store(eKey, &cacheEntry{key: eKey, gen: gen, cert: cert})
+	return sig, nil
 }

@@ -62,6 +62,7 @@ func newPipelineFixture(t *testing.T) *pipelineFixture {
 // store, blockchain) configured with a fixed worker count.
 type pipelinePeer struct {
 	v        *Validator
+	certs    *identity.VerifyCache
 	db       *statedb.DB
 	blocks   *ledger.BlockStore
 	counters *metrics.Counters
@@ -69,20 +70,27 @@ type pipelinePeer struct {
 }
 
 func (f *pipelineFixture) newPeer(workers int) *pipelinePeer {
-	db := statedb.New()
 	sec := core.OriginalFabric()
 	sec.ValidationWorkers = workers
+	return f.newPeerWith(sec)
+}
+
+// newPeerWith builds peer0.org2's validator under sec; its identity is
+// f.peers["org2"].
+func (f *pipelineFixture) newPeerWith(sec core.SecurityConfig) *pipelinePeer {
+	db := statedb.New()
 	p := &pipelinePeer{
 		db:       db,
 		blocks:   ledger.NewBlockStore(),
 		counters: &metrics.Counters{},
 		timings:  &metrics.Timings{},
 	}
+	p.certs = identity.NewVerifyCache(f.cfg.Verifier(), sec.VerifyCacheSize, p.counters)
 	p.v = New(Config{
 		SelfName:  "peer0.org2",
 		SelfOrg:   "org2",
 		Channel:   f.cfg,
-		Certs:     identity.NewVerifyCache(f.cfg.Verifier(), sec.VerifyCacheSize, p.counters),
+		Certs:     p.certs,
 		Defs:      func(name string) *chaincode.Definition { return map[string]*chaincode.Definition{"cc": f.def}[name] },
 		DB:        db,
 		Pvt:       pvtdata.NewStore(db),

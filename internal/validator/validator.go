@@ -69,7 +69,8 @@ type Config struct {
 	SelfOrg  string
 	Channel  *channel.Config
 	// Certs verifies endorsements. The peer shares it with its endorser,
-	// which checks proposal creators against the same entries.
+	// which checks proposal creators against the same entries and
+	// records its own endorsements as it signs them.
 	Certs     *identity.VerifyCache
 	Defs      func(name string) *chaincode.Definition
 	DB        *statedb.DB
@@ -513,11 +514,15 @@ func (v *Validator) verifiedEndorsers(
 	}
 
 	var signers []*identity.Certificate
+	// Every endorsement signs the same payload: hash it once.
+	digest := fabcrypto.Hash(tx.ResponsePayload)
 	for _, e := range tx.Endorsements {
 		// The cache folds certificate parsing, the CA check and the
 		// endorsement-signature check into one memoized lookup; repeat
-		// endorsers across a block skip the CA-side ECDSA entirely.
-		cert, err := v.vcache.VerifyEndorsement(e.Endorser, tx.ResponsePayload, e.Signature)
+		// endorsers across a block skip the CA-side ECDSA entirely, and
+		// this peer's own endorsement (recorded when it signed) skips
+		// the signature check too.
+		cert, err := v.vcache.VerifyEndorsement(e.Endorser, digest, e.Signature)
 		if err != nil {
 			return nil, ledger.BadSignature
 		}
