@@ -113,7 +113,6 @@ func TestCrossChannelTransactionRejected(t *testing.T) {
 	if err := c1.Orderer.Submit(tx); err != nil {
 		t.Fatal(err) // the orderer bundles blindly
 	}
-	c1.Orderer.Flush()
 	_, code, err := c1.Peer("org1").Ledger().Transaction(tx.TxID)
 	if err != nil {
 		t.Fatal(err)

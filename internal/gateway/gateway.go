@@ -62,8 +62,8 @@ type Options struct {
 	// (submit→commit-notified latency per transaction).
 	Timings *metrics.Timings
 	// Metrics, when non-nil, receives the gateway_admitted/gateway_shed
-	// admission counters and gateway_flushes. Several gateways may share
-	// one counter set (e.g. all simulated clients of a load run).
+	// admission counters. Several gateways may share one counter set
+	// (e.g. all simulated clients of a load run).
 	Metrics *metrics.Counters
 }
 
@@ -339,6 +339,19 @@ func (g *Gateway) Evaluate(ctx context.Context, req *service.InvokeRequest) ([]b
 	if err != nil {
 		return nil, err
 	}
+	return g.evaluate(ctx, req.Channel, req.Chaincode, req.Function, req.Args, req.Transient, endorsers)
+}
+
+// evaluate is the shared query path behind the struct-based and
+// Contract call surfaces: the first endorser (or the commit peer)
+// simulates the proposal and its response payload is returned.
+func (g *Gateway) evaluate(
+	ctx context.Context,
+	channel, chaincodeName, function string,
+	args []string,
+	transient map[string][]byte,
+	endorsers []service.Endorser,
+) ([]byte, error) {
 	var target service.Endorser
 	if g.commitPeer != nil {
 		target = g.commitPeer
@@ -349,13 +362,13 @@ func (g *Gateway) Evaluate(ctx context.Context, req *service.InvokeRequest) ([]b
 	if target == nil {
 		return nil, ErrNoEndorsers
 	}
-	prop, err := g.newProposal(req.Channel, req.Chaincode, req.Function, req.Args, req.Transient)
+	prop, err := g.newProposal(channel, chaincodeName, function, args, transient)
 	if err != nil {
 		return nil, err
 	}
 	resp, err := target.Endorse(ctx, prop)
 	if err != nil {
-		return nil, fmt.Errorf("gateway: evaluate %s.%s: %w", req.Chaincode, req.Function, err)
+		return nil, fmt.Errorf("gateway: evaluate %s.%s: %w", chaincodeName, function, err)
 	}
 	return resp.Response.Payload, nil
 }
@@ -457,25 +470,7 @@ func (c *Contract) Evaluate(ctx context.Context, function string, opts ...CallOp
 		return nil, err
 	}
 	o := c.options(opts)
-	var target service.Endorser
-	if c.g.commitPeer != nil {
-		target = c.g.commitPeer
-	}
-	if len(o.endorsers) > 0 {
-		target = o.endorsers[0]
-	}
-	if target == nil {
-		return nil, ErrNoEndorsers
-	}
-	prop, err := c.g.newProposal(c.channel, c.name, function, o.args, o.transient)
-	if err != nil {
-		return nil, err
-	}
-	resp, err := target.Endorse(ctx, prop)
-	if err != nil {
-		return nil, fmt.Errorf("gateway: evaluate %s.%s: %w", c.name, function, err)
-	}
-	return resp.Response.Payload, nil
+	return c.g.evaluate(ctx, c.channel, c.name, function, o.args, o.transient, o.endorsers)
 }
 
 // Submit drives the full transaction flow through the contract's
@@ -528,9 +523,9 @@ func (c *Commit) TxID() string { return c.txID }
 
 // Status blocks until the transaction's final commit-status event
 // arrives on the deliver stream, honoring ctx; without a ctx deadline
-// the gateway's commit timeout applies. If the transaction sits in a
-// partial orderer batch, a targeted flush is requested first — asking
-// for the status is the signal that the caller wants the block cut now.
+// the gateway's commit timeout applies. A transaction left in a partial
+// orderer batch needs no prompt: the orderer cuts it once its queue
+// runs dry.
 //
 // An error derived from the caller's context (cancellation or deadline)
 // is transient: Status may be called again and will pick the wait back
@@ -567,16 +562,6 @@ func (c *Commit) wait(ctx context.Context) (*Result, error, bool) {
 	default:
 	}
 	if st == nil {
-		// Not committed yet: request a targeted flush. FlushTx cuts the
-		// pending partial batch only if it still holds this transaction
-		// (so N concurrent waiters sharing one batch produce one cut,
-		// and an already-cut transaction makes it a no-op) — the
-		// condition lives orderer-side, so a remote orderer costs
-		// one round trip per commit wait.
-		c.g.orderer.FlushTx(c.txID)
-		if c.g.counters != nil {
-			c.g.counters.Inc(metrics.GatewayFlushes)
-		}
 		wctx := ctx
 		if _, hasDeadline := ctx.Deadline(); !hasDeadline {
 			var cancel context.CancelFunc

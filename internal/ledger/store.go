@@ -12,6 +12,11 @@ import (
 // store.
 var ErrNotFound = errors.New("ledger: not found")
 
+// ErrForked reports a block that belongs to a different chain than the
+// one a peer holds: numbered below its height, or at its height with a
+// PrevHash other than its last block's hash.
+var ErrForked = errors.New("ledger: block from a forked chain")
+
 // BlockStore is a peer's copy of the blockchain. Blocks are appended in
 // order after validation; every append verifies the hash chain.
 //

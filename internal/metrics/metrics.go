@@ -236,20 +236,6 @@ const (
 	GatewayAdmitted = "gateway_admitted"
 	// GatewayShed counts submissions rejected with ErrOverloaded.
 	GatewayShed = "gateway_shed"
-	// GatewayFlushes counts targeted orderer flush requests issued by
-	// commit waits; the orderer elides those whose transaction no
-	// longer sits in the pending partial batch.
-	GatewayFlushes = "gateway_flushes"
-)
-
-// Well-known counter names emitted by the pipelined ordering service's
-// flush path.
-const (
-	// OrdererFlushesElided counts targeted flush requests dropped
-	// because the transaction was no longer in the pending batch when
-	// the marker was processed (already cut, typically by a timer or a
-	// concurrent waiter's flush).
-	OrdererFlushesElided = "orderer_flushes_elided"
 )
 
 // Histogram names of the delivery path.

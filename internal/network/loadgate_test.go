@@ -16,8 +16,7 @@ import (
 )
 
 // newLoadNet builds a three-org network with a plain public-asset
-// chaincode and a large orderer batch: block cuts come only from the
-// commit waiters' targeted flushes, which is what these tests probe.
+// chaincode and the given orderer batch size.
 func newLoadNet(t *testing.T, batchSize int) *Network {
 	t.Helper()
 	n, err := New(Options{
@@ -100,63 +99,6 @@ func TestConcurrentSubmitStatusCloseStress(t *testing.T) {
 	}
 	if got := deliver.SubscriberCount(); got != base {
 		t.Fatalf("leaked deliver subscriptions: %d live, %d at baseline", got, base)
-	}
-}
-
-// TestBatchingPreservedUnderConcurrentWaiters: with a large batch size
-// and no batch timer, block cuts come only from commit waiters' targeted
-// flushes. Pre-fix, every Status call issued an unconditional Flush and
-// the mean batch degenerated to ~1 tx/block; the conditional FlushTx
-// keeps concurrent submitters' transactions batching together.
-func TestBatchingPreservedUnderConcurrentWaiters(t *testing.T) {
-	n := newLoadNet(t, 64)
-	defer n.Close()
-	defer n.Orderer.Stop()
-
-	const clients = 8
-	const perClient = 8
-	orgs := n.Orgs()
-	var wg sync.WaitGroup
-	errs := make(chan error, clients)
-	for c := 0; c < clients; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			contract := n.Gateway(orgs[c%len(orgs)]).Network("c1").Contract("asset")
-			for i := 0; i < perClient; i++ {
-				key := fmt.Sprintf("batch-%d-%d", c, i)
-				if _, err := contract.Submit(context.Background(), "set", gateway.WithArguments(key, "v")); err != nil {
-					errs <- fmt.Errorf("client %d tx %d: %w", c, i, err)
-					return
-				}
-			}
-		}(c)
-	}
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		t.Fatal(err)
-	}
-
-	om := n.Orderer.Metrics()
-	ordered, blocks := om[metrics.TxOrdered], om[metrics.BlocksOrdered]
-	if ordered != clients*perClient {
-		t.Fatalf("tx_ordered = %d, want %d", ordered, clients*perClient)
-	}
-	if blocks == 0 {
-		t.Fatal("no blocks ordered")
-	}
-	mean := float64(ordered) / float64(blocks)
-	t.Logf("mean batch size %.2f (%d txs / %d blocks, %d flushes elided)",
-		mean, ordered, blocks, om[metrics.OrdererFlushesElided])
-	if mean <= 1.5 {
-		t.Fatalf("mean batch size %.2f (%d txs / %d blocks): targeted flush is not preserving batching",
-			mean, ordered, blocks)
-	}
-	// Lockstep waiters produce many stale status checks; pre-fix each one
-	// executed a pointless Flush, post-fix they are elided server-side.
-	if om[metrics.OrdererFlushesElided] == 0 {
-		t.Fatal("no stale flush markers elided: waiters are still flushing unconditionally")
 	}
 }
 

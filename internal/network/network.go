@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"repro/internal/chaincode"
 	"repro/internal/channel"
@@ -40,12 +39,9 @@ type Options struct {
 	DefaultEndorsement string
 	// OrdererCount sizes the Raft cluster (default 3).
 	OrdererCount int
-	// BatchSize is the orderer block-cut threshold (default 1).
+	// BatchSize is the orderer block-cut threshold (default 1); the
+	// orderer cuts a smaller block whenever its queue runs dry.
 	BatchSize int
-	// BatchTimeout cuts a partial batch after this long, like Fabric's
-	// BatchTimeout (0 = no timer; commit waiters' targeted flushes and
-	// the block-size threshold cut the batches).
-	BatchTimeout time.Duration
 	// Security selects the active defense features for every node.
 	Security core.SecurityConfig
 	// Seed drives deterministic Raft jitter.
@@ -110,7 +106,6 @@ func New(opts Options) (*Network, error) {
 	n.Orderer = orderer.New(orderer.Config{
 		OrdererCount: opts.OrdererCount,
 		BatchSize:    opts.BatchSize,
-		BatchTimeout: opts.BatchTimeout,
 		Seed:         opts.Seed,
 	})
 

@@ -72,7 +72,7 @@ func TestReconcileMissingFromCommittedStore(t *testing.T) {
 	// transient store was purged at its own commit — the value is
 	// served by reconstruction from org1's committed private store.
 	n.Gossip.Isolate("peer0.org2", false)
-	recovered := org2.ReconcileMissing()
+	recovered := org2.TickReconcile()
 	if recovered != 1 {
 		t.Fatalf("recovered = %d, want 1", recovered)
 	}
@@ -83,7 +83,7 @@ func TestReconcileMissingFromCommittedStore(t *testing.T) {
 		t.Fatal("missing entry not cleared")
 	}
 	// Idempotent.
-	if org2.ReconcileMissing() != 0 {
+	if org2.TickReconcile() != 0 {
 		t.Fatal("second reconcile recovered something")
 	}
 }
@@ -121,7 +121,7 @@ func TestReconcileSkipsSupersededValues(t *testing.T) {
 	}
 
 	// Reconciling the missed first transaction must not regress k1.
-	org2.ReconcileMissing()
+	org2.TickReconcile()
 	if v, ver, _ := org2.PvtStore().GetPrivate("asset", "pdc1", "k1"); string(v) != "14" || ver != 2 {
 		t.Fatalf("reconcile regressed value: (%q, v%d)", v, ver)
 	}

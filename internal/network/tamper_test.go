@@ -41,7 +41,6 @@ func order(t *testing.T, n *Network, tx *ledger.Transaction) ledger.ValidationCo
 	if err := n.Orderer.Submit(tx); err != nil {
 		t.Fatalf("order: %v", err)
 	}
-	n.Orderer.Flush()
 	_, code, err := n.Peer("org1").Ledger().Transaction(tx.TxID)
 	if err != nil {
 		t.Fatalf("tx not in ledger: %v", err)
@@ -232,7 +231,6 @@ func TestReplayedTransactionRejected(t *testing.T) {
 	if err := n.Orderer.Submit(tx); err != nil {
 		t.Fatal(err)
 	}
-	n.Orderer.Flush()
 	count := 0
 	var replayCode ledger.ValidationCode
 	n.Peer("org3").Ledger().Scan(func(_ uint64, stored *ledger.Transaction, code ledger.ValidationCode) bool {

@@ -27,6 +27,7 @@
 package node
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -42,6 +43,7 @@ import (
 	"repro/internal/gateway"
 	"repro/internal/gossip"
 	"repro/internal/identity"
+	"repro/internal/ledger"
 	"repro/internal/netconfig"
 	"repro/internal/orderer"
 	"repro/internal/peer"
@@ -373,9 +375,20 @@ func StartGateway(opts Options) (*Node, error) {
 // and commits them, redialing when the stream or connection drops. When
 // the orderer's retained log has been compacted past the peer's height,
 // an empty peer bootstraps from another peer's snapshot and resumes the
-// stream from the installed height — the O(state) cold-join path.
+// stream from the installed height — the O(state) cold-join path. A
+// block from a different chain (ledger.ErrForked) stops it: the peer
+// keeps the chain it holds and logs the fork.
 func (n *Node) followBlocks(ctx context.Context, copts wire.ClientOptions) {
 	defer n.wg.Done()
+	// pause waits before a resubscribe; false means ctx ended.
+	pause := func() bool {
+		select {
+		case <-ctx.Done():
+			return false
+		case <-time.After(100 * time.Millisecond):
+			return true
+		}
+	}
 	for ctx.Err() == nil {
 		c, err := dialRetry(ctx, n.opts.OrdererAddr, copts)
 		if err != nil {
@@ -399,16 +412,24 @@ func (n *Node) followBlocks(ctx context.Context, copts wire.ClientOptions) {
 						n.opts.Name, n.Peer.Ledger().Height())
 				}
 			}
-			select {
-			case <-ctx.Done():
+			if !pause() {
 				return
-			case <-time.After(100 * time.Millisecond):
 			}
 			continue
 		}
-		n.pumpBlocks(ctx, stream)
+		err = n.pumpBlocks(ctx, stream)
 		stream.Close()
 		oc.Close()
+		if errors.Is(err, ledger.ErrForked) {
+			n.logf("peer %s: stopped following the orderer: %v", n.opts.Name, err)
+			return
+		}
+		if err != nil {
+			n.logf("peer %s: %v", n.opts.Name, err)
+			if !pause() {
+				return
+			}
+		}
 	}
 }
 
@@ -449,26 +470,37 @@ func (n *Node) bootstrapFromSnapshot(ctx context.Context) error {
 	return nil
 }
 
-// pumpBlocks commits one stream's blocks until it ends or ctx cancels.
-func (n *Node) pumpBlocks(ctx context.Context, stream service.Stream) {
+// pumpBlocks commits one stream's blocks until it ends, ctx cancels or
+// a block cannot be committed. The stream starts at the peer's height,
+// so a block below that height, or one at it that does not link to the
+// peer's last block, comes from a different chain: pumpBlocks returns
+// ledger.ErrForked without touching the peer. A block above the height
+// (a gap) and a commit error are returned as plain errors; the caller
+// resubscribes from the peer's height.
+func (n *Node) pumpBlocks(ctx context.Context, stream service.Stream) error {
 	for {
 		select {
 		case ev, ok := <-stream.Events():
 			if !ok {
-				return
+				return nil
 			}
 			be, isBlock := ev.(*deliver.BlockEvent)
 			if !isBlock || be.Block == nil {
 				continue
 			}
-			if be.Block.Header.Number < n.Peer.Ledger().Height() {
-				continue // replayed below our height after a redial
+			b, store := be.Block, n.Peer.Ledger()
+			height := store.Height()
+			if b.Header.Number < height || b.Header.Number == height && !bytes.Equal(b.Header.PrevHash, store.LastHash()) {
+				return fmt.Errorf("%w: orderer sent block %d at peer height %d", ledger.ErrForked, b.Header.Number, height)
 			}
-			if err := n.Peer.CommitBlock(be.Block); err != nil {
-				n.logf("peer %s: commit block %d: %v", n.opts.Name, be.Block.Header.Number, err)
+			if b.Header.Number > height {
+				return fmt.Errorf("orderer sent block %d, want %d", b.Header.Number, height)
+			}
+			if err := n.Peer.CommitBlock(b); err != nil {
+				return fmt.Errorf("commit block %d: %w", b.Header.Number, err)
 			}
 		case <-ctx.Done():
-			return
+			return nil
 		}
 	}
 }

@@ -10,6 +10,12 @@
 // blocks publish to per-peer bounded delivery queues drained by per-peer
 // goroutines: a slow peer never stalls the cutter or its faster
 // neighbours, while each peer still receives every block in order.
+//
+// One rule cuts blocks. After each round the committed transactions join
+// the pending batch and every full BatchSize block is cut; then, if the
+// command queue has run dry, whatever is still pending is cut too. A
+// partial batch therefore never waits while the orderer is idle, and no
+// client ever asks for a cut.
 package orderer
 
 import (
@@ -43,13 +49,10 @@ var ErrCompacted = errors.New("orderer: requested blocks compacted (snapshot req
 type Config struct {
 	// OrdererCount is the size of the raft cluster.
 	OrdererCount int
-	// BatchSize is the number of transactions that triggers a block cut.
+	// BatchSize is the number of transactions that triggers a block cut,
+	// and the most a block holds. A smaller block is cut when the
+	// command queue runs dry.
 	BatchSize int
-	// BatchTimeout, when non-zero, cuts a partial batch this long after
-	// the first pending transaction arrived, mirroring Fabric's
-	// BatchTimeout. Zero leaves cutting to BatchSize and explicit
-	// Flush calls.
-	BatchTimeout time.Duration
 	// Seed drives the raft cluster's deterministic jitter.
 	Seed int64
 	// MaxTicks bounds how long a single consensus round may take.
@@ -101,9 +104,10 @@ type blockDelivery struct {
 }
 
 // Wait is the handle returned by SubmitAsync. The transaction is ordered
-// (raft-committed and pending in the block cutter) once Done closes; if a
-// block containing it was cut during that round, Wait additionally blocks
-// until every peer's handler processed the block.
+// (raft-committed, and cut into a block or pending in the cutter) once
+// Done closes; if it filled a BatchSize block during that round, Wait
+// additionally blocks until every peer's handler processed the block.
+// A block cut because the queue ran dry is not waited for.
 type Wait struct {
 	done chan struct{}
 	err  error
@@ -118,8 +122,8 @@ func (w *Wait) Done() <-chan struct{} { return w.done }
 // Err returns the ordering error, if any. Valid only after Done closed.
 func (w *Wait) Err() error { return w.err }
 
-// Wait blocks until the transaction is ordered and — when its block was
-// cut as part of the same round — delivered to every registered peer.
+// Wait blocks until the transaction is ordered and — when it filled a
+// BatchSize block in the same round — delivered to every registered peer.
 func (w *Wait) Wait() error {
 	<-w.done
 	if w.err != nil {
@@ -136,17 +140,12 @@ func (w *Wait) Wait() error {
 	return nil
 }
 
-// command is one entry on the ordering queue: a transaction to order, or
-// a flush marker (tx nil) cutting whatever is pending when it is reached.
-// A marker with flushTx set is conditional: it cuts only while that
-// transaction is still in the pending partial batch, and is elided (with
-// the orderer_flushes_elided counter) when a block-size cut, the batch
-// timer, or a concurrent flush already took the transaction.
+// command is one entry on the ordering queue: a transaction to order
+// and its submitter's wait handle.
 type command struct {
-	tx      *ledger.Transaction
-	w       *Wait // nil for fire-and-forget conditional flushes
-	flushTx string
-	enqAt   time.Time
+	tx    *ledger.Transaction
+	w     *Wait
+	enqAt time.Time
 }
 
 // queuedBlock pairs a cut block with its delivery tracker on a peer
@@ -234,8 +233,8 @@ type Service struct {
 	// mu guards the block cutter state below.
 	mu      sync.Mutex
 	pending []*ledger.Transaction
-	// pendingWaits parallels pending: the wait handle to attach the cut
-	// block's delivery tracker to, nil for entries without a live waiter.
+	// pendingWaits parallels pending: the wait handle to attach a size
+	// cut's delivery tracker to, nil for entries without a live waiter.
 	pendingWaits []*Wait
 	height       uint64
 	lastHash     []byte
@@ -259,15 +258,7 @@ type Service struct {
 	// subscribers are past the compaction point — and stays pending
 	// across rounds until then.
 	retainCompactDue bool
-	// batchTimer cuts a partial batch at BatchTimeout expiry.
-	batchTimer *time.Timer
-	// batchGen identifies the currently armed batch timer. A fired
-	// timer callback that lost the race for the mutex — its timer was
-	// stopped, or a cut already happened — sees a different generation
-	// and must not cut; without this, a stale callback could
-	// prematurely flush a fresh partial batch.
-	batchGen uint64
-	// stopped marks the service shut down: no timer fires after Stop.
+	// stopped marks the service shut down: no block is cut after it.
 	stopped bool
 
 	// bpMu/bpCond let the ordering goroutine sleep until peer queues
@@ -416,20 +407,21 @@ func (s *Service) SubmitAsync(tx *ledger.Transaction) *Wait {
 }
 
 // Submit orders a transaction synchronously: it returns once the
-// transaction is raft-committed, and — if a block containing it was cut
-// during that round — once every registered peer processed the block.
-// This is the pre-pipeline API; SubmitAsync is the handle-returning form.
+// transaction is raft-committed and either cut into a block or pending
+// behind more queued work, and — if it filled a BatchSize block during
+// that round — once every registered peer processed that block. A block
+// cut because the queue ran dry is delivered without Submit waiting for
+// it. This is the pre-pipeline API; SubmitAsync is the handle-returning
+// form.
 func (s *Service) Submit(tx *ledger.Transaction) error {
 	return s.SubmitAsync(tx).Wait()
 }
 
-// Order is the context-honoring form of Submit: it returns when the
-// transaction is ordered (and, like Submit, once every registered
-// peer's handler processed any block cut in the same round), or early
-// with the context's error when ctx expires first — the transaction
-// then still completes ordering in the background, since ordering is
-// not cancelable once enqueued. This is the service.Orderer surface;
-// the wire protocol serves it remotely.
+// Order is the context-honoring form of Submit: it waits for exactly
+// what Submit waits for, or returns early with the context's error when
+// ctx expires first — the transaction then still completes ordering in
+// the background, since ordering is not cancelable once enqueued. This
+// is the service.Orderer surface; the wire protocol serves it remotely.
 func (s *Service) Order(ctx context.Context, tx *ledger.Transaction) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -463,59 +455,10 @@ func (s *Service) Order(ctx context.Context, tx *ledger.Transaction) error {
 	}
 }
 
-// Flush cuts a block from any pending transactions regardless of batch
-// size, modeling Fabric's BatchTimeout expiry. It returns after every
-// queued submission ahead of it has been ordered and the cut block (if
-// any) delivered to all peers.
-func (s *Service) Flush() {
-	w := &Wait{done: make(chan struct{})}
-	s.qmu.Lock()
-	if s.stopping {
-		// Stop's drain already cuts the final partial batch.
-		s.qmu.Unlock()
-		return
-	}
-	s.cmds = append(s.cmds, command{w: w})
-	s.qcond.Signal()
-	s.qmu.Unlock()
-	_ = w.Wait()
-}
-
-// FlushTx requests an asynchronous conditional flush: when the marker
-// reaches the ordering goroutine, the pending partial batch is cut only
-// if it still holds txID. Commit waiters use this instead of Flush so N
-// concurrent waiters whose transactions share one partial batch produce
-// one cut — the batch survives at its natural size instead of
-// degenerating to one transaction per block. The call returns
-// immediately; the caller is expected to block on the deliver stream.
-func (s *Service) FlushTx(txID string) {
-	s.qmu.Lock()
-	if s.stopping {
-		// Stop's drain already cuts the final partial batch.
-		s.qmu.Unlock()
-		return
-	}
-	s.cmds = append(s.cmds, command{flushTx: txID})
-	s.qcond.Signal()
-	s.qmu.Unlock()
-}
-
-// inPendingLocked reports whether txID sits in the pending partial batch
-// — ordered, but not yet cut into a block. The batch never exceeds
-// BatchSize entries, so linear scan is fine. Caller holds s.mu.
-func (s *Service) inPendingLocked(txID string) bool {
-	for _, tx := range s.pending {
-		if tx.TxID == txID {
-			return true
-		}
-	}
-	return false
-}
-
 // Stop shuts the service down: new submissions are refused with
-// ErrStopped, already-queued submissions are drained and ordered, any
-// final partial batch is cut, and all goroutines (ordering and per-peer
-// delivery) are joined before Stop returns.
+// ErrStopped, already-queued submissions are drained, ordered and cut,
+// and all goroutines (ordering and per-peer delivery) are joined before
+// Stop returns.
 func (s *Service) Stop() {
 	s.qmu.Lock()
 	s.stopping = true
@@ -525,8 +468,8 @@ func (s *Service) Stop() {
 }
 
 // run is the ordering goroutine: it drains the command queue, proposes
-// each run of queued transactions as one raft batch, cuts blocks, and on
-// Stop flushes the final partial batch and closes the peer queues.
+// everything queued as one raft batch, cuts blocks, and on Stop closes
+// the peer queues once the queue is drained.
 func (s *Service) run() {
 	defer s.wg.Done()
 	for {
@@ -549,27 +492,16 @@ func (s *Service) run() {
 		stopping := s.stopping
 		s.qmu.Unlock()
 
-		now := time.Now()
-		for i := 0; i < len(cmds); {
-			if cmds[i].tx == nil {
-				s.doFlush(cmds[i])
-				i++
-				continue
+		if len(cmds) > 0 {
+			now := time.Now()
+			for _, c := range cmds {
+				s.timings.Observe(metrics.OrdererQueueWait, now.Sub(c.enqAt))
 			}
-			j := i
-			for j < len(cmds) && cmds[j].tx != nil {
-				s.timings.Observe(metrics.OrdererQueueWait, now.Sub(cmds[j].enqAt))
-				j++
-			}
-			s.orderBatch(cmds[i:j])
-			i = j
+			s.orderBatch(cmds)
 		}
 
 		if stopping {
-			s.qmu.Lock()
-			drained := len(s.cmds) == 0
-			s.qmu.Unlock()
-			if drained {
+			if s.queueEmpty() {
 				s.shutdown()
 				return
 			}
@@ -579,29 +511,32 @@ func (s *Service) run() {
 	}
 }
 
+// queueEmpty reports whether no command waits on the ordering queue.
+func (s *Service) queueEmpty() bool {
+	s.qmu.Lock()
+	defer s.qmu.Unlock()
+	return len(s.cmds) == 0
+}
+
 // shutdown runs on the ordering goroutine once the queue is drained
-// after Stop: disarm the timer, cut the final partial batch, close every
-// peer queue so the delivery goroutines exit after their backlogs.
+// after Stop. Nothing is pending then — the round that drained the
+// queue cut it — so it only closes every peer queue, letting the
+// delivery goroutines exit after their backlogs.
 func (s *Service) shutdown() {
 	s.mu.Lock()
 	s.stopped = true
-	s.disarmBatchTimerLocked()
-	if len(s.pending) > 0 {
-		s.cutBlockLocked(s.pending)
-		s.pending = nil
-		s.pendingWaits = nil
-	}
 	queues := append([]*peerQueue(nil), s.queues...)
 	s.mu.Unlock()
-	s.maybeCompact()
 	for _, q := range queues {
 		q.close()
 	}
 }
 
 // orderBatch proposes one run of queued transactions as a single raft
-// round, appends the committed results to the pending batch and cuts any
-// full blocks, then resolves the submitters' wait handles.
+// round and applies the cut rule: the committed results join the pending
+// batch, full BatchSize blocks are cut and handed to their submitters'
+// handles, and — when the queue has run dry — the remainder is cut
+// without a waiter. Then it resolves the submitters' wait handles.
 func (s *Service) orderBatch(batch []command) {
 	datas := make([][]byte, len(batch))
 	for i, c := range batch {
@@ -618,39 +553,15 @@ func (s *Service) orderBatch(batch []command) {
 	committed := s.take()
 	s.clusterMu.Unlock()
 	s.metrics.Inc(metrics.OrdererRounds)
+
+	s.mu.Lock()
 	if err != nil {
 		for _, c := range batch {
 			c.w.err = fmt.Errorf("orderer: order tx %s: %w", c.tx.TxID, err)
-			close(c.w.done)
 		}
-		return
-	}
-	s.metrics.Add(metrics.OrdererBatchedTxs, uint64(len(batch)))
-
-	s.mu.Lock()
-	// Collect every newly committed entry — raft may deliver entries
-	// from an earlier round that missed its tick budget together with
-	// this batch. The single proposer makes commit order match propose
-	// order, so this round's handles match their entries front-to-back
-	// by TxID; earlier stragglers get no handle (theirs already failed).
-	next := 0
-	for _, e := range committed {
-		parsed, perr := ledger.ParseTransaction(e.Data)
-		if perr != nil {
-			s.mu.Unlock()
-			for _, c := range batch[next:] {
-				c.w.err = fmt.Errorf("orderer: committed entry %d: %w", e.Index, perr)
-				close(c.w.done)
-			}
-			return
-		}
-		var w *Wait
-		if next < len(batch) && parsed.TxID == batch[next].tx.TxID {
-			w = batch[next].w
-			next++
-		}
-		s.pending = append(s.pending, parsed)
-		s.pendingWaits = append(s.pendingWaits, w)
+	} else {
+		s.metrics.Add(metrics.OrdererBatchedTxs, uint64(len(batch)))
+		s.appendCommittedLocked(batch, committed)
 	}
 	for len(s.pending) >= s.cfg.BatchSize {
 		bd := s.cutBlockLocked(s.pending[:s.cfg.BatchSize])
@@ -662,13 +573,17 @@ func (s *Service) orderBatch(batch []command) {
 		s.pending = s.pending[s.cfg.BatchSize:]
 		s.pendingWaits = s.pendingWaits[s.cfg.BatchSize:]
 	}
+	// The dry cut runs on failed rounds too, so a batch left by an
+	// earlier round is never stranded. Its block is not attached to the
+	// handles: submitters wait for the round, not for this delivery.
+	if len(s.pending) > 0 && s.queueEmpty() {
+		s.cutBlockLocked(s.pending)
+		s.pending, s.pendingWaits = nil, nil
+	}
 	// Handles resolve at the end of this round; a transaction still
 	// pending then is delivered by a later cut its submitter does not
 	// wait for, so its handle must never be touched again.
-	for i := range s.pendingWaits {
-		s.pendingWaits[i] = nil
-	}
-	s.armBatchTimerLocked()
+	clear(s.pendingWaits)
 	s.mu.Unlock()
 	// Compact before resolving handles so callers observe the compacted
 	// log as soon as Submit returns (SnapshotInterval semantics).
@@ -678,33 +593,30 @@ func (s *Service) orderBatch(batch []command) {
 	}
 }
 
-// doFlush handles a queued flush marker: cut whatever is pending (for a
-// conditional marker, only while its transaction is still pending) and
-// hand the block's delivery tracker to the flusher's wait handle, if any.
-func (s *Service) doFlush(c command) {
-	s.mu.Lock()
-	if c.flushTx != "" && !s.inPendingLocked(c.flushTx) {
-		// The transaction already left the pending batch — a size cut,
-		// the batch timer, or an earlier waiter's flush got there first.
-		s.mu.Unlock()
-		s.metrics.Inc(metrics.OrdererFlushesElided)
-		if c.w != nil {
-			close(c.w.done)
+// appendCommittedLocked moves a round's committed raft entries into the
+// pending batch. Raft may deliver entries from an earlier round that
+// missed its tick budget together with this batch. The single proposer
+// makes commit order match propose order, so this round's handles match
+// their entries front-to-back by TxID; earlier stragglers get no handle
+// (theirs already failed). An entry that does not parse fails every
+// handle from it on. Caller holds s.mu.
+func (s *Service) appendCommittedLocked(batch []command, committed []raft.Entry) {
+	next := 0
+	for _, e := range committed {
+		parsed, perr := ledger.ParseTransaction(e.Data)
+		if perr != nil {
+			for _, c := range batch[next:] {
+				c.w.err = fmt.Errorf("orderer: committed entry %d: %w", e.Index, perr)
+			}
+			return
 		}
-		return
-	}
-	s.disarmBatchTimerLocked()
-	var bd *blockDelivery
-	if len(s.pending) > 0 {
-		bd = s.cutBlockLocked(s.pending)
-		s.pending = nil
-		s.pendingWaits = nil
-	}
-	s.mu.Unlock()
-	s.maybeCompact()
-	if c.w != nil {
-		c.w.bd = bd
-		close(c.w.done)
+		var w *Wait
+		if next < len(batch) && parsed.TxID == batch[next].tx.TxID {
+			w = batch[next].w
+			next++
+		}
+		s.pending = append(s.pending, parsed)
+		s.pendingWaits = append(s.pendingWaits, w)
 	}
 }
 
@@ -803,53 +715,6 @@ func (s *Service) retryRetainCompact() {
 	if pending {
 		s.maybeCompact()
 	}
-}
-
-// armBatchTimerLocked schedules (or cancels) the BatchTimeout cut
-// depending on whether transactions are pending.
-func (s *Service) armBatchTimerLocked() {
-	if s.cfg.BatchTimeout <= 0 || s.stopped {
-		return
-	}
-	if len(s.pending) == 0 {
-		s.disarmBatchTimerLocked()
-		return
-	}
-	if s.batchTimer == nil {
-		gen := s.batchGen
-		s.batchTimer = time.AfterFunc(s.cfg.BatchTimeout, func() { s.timerFlush(gen) })
-	}
-}
-
-// disarmBatchTimerLocked cancels any armed timer and advances the
-// generation, so a callback that already fired (and is blocked on the
-// mutex) becomes a no-op instead of cutting a batch it was never armed
-// for.
-func (s *Service) disarmBatchTimerLocked() {
-	s.batchGen++
-	if s.batchTimer != nil {
-		s.batchTimer.Stop()
-		s.batchTimer = nil
-	}
-}
-
-// timerFlush is the BatchTimeout expiry path: it cuts only if the timer
-// that fired is still the armed one. It runs on the timer goroutine and
-// never touches the raft cluster; a due compaction is left for the
-// ordering goroutine's next round.
-func (s *Service) timerFlush(gen uint64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.stopped || gen != s.batchGen {
-		return
-	}
-	s.disarmBatchTimerLocked()
-	if len(s.pending) == 0 {
-		return
-	}
-	s.cutBlockLocked(s.pending)
-	s.pending = nil
-	s.pendingWaits = nil
 }
 
 // cutBlockLocked cuts a block from txs, retains it, and enqueues it onto

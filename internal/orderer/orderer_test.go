@@ -56,30 +56,108 @@ func TestOrderingAndDelivery(t *testing.T) {
 	}
 }
 
+// holdRound submits first and keeps its raft round in flight — the test
+// holds clusterMu — until release is called, so the caller can queue
+// transactions behind a running round deterministically.
+func holdRound(t *testing.T, svc *Service, first *ledger.Transaction) (w *Wait, release func()) {
+	t.Helper()
+	svc.clusterMu.Lock()
+	w = svc.SubmitAsync(first)
+	deadline := time.Now().Add(5 * time.Second)
+	for !svc.queueEmpty() {
+		if time.Now().After(deadline) {
+			svc.clusterMu.Unlock()
+			t.Fatal("ordering goroutine never took the first transaction")
+		}
+		time.Sleep(50 * time.Microsecond)
+	}
+	return w, svc.clusterMu.Unlock
+}
+
+// blockTxIDs lists each retained block's transaction IDs.
+func blockTxIDs(t *testing.T, svc *Service) [][]string {
+	t.Helper()
+	var out [][]string
+	for _, b := range mustDeliver(t, svc, 0) {
+		var ids []string
+		for _, tr := range b.Transactions {
+			ids = append(ids, tr.TxID)
+		}
+		out = append(out, ids)
+	}
+	return out
+}
+
+// TestBatchingAndFlush: BatchSize still caps a block. Eight transactions
+// ordered behind one held round come out as two full blocks and, once
+// the queue is dry, the two left over as a third.
 func TestBatchingAndFlush(t *testing.T) {
 	svc := New(Config{OrdererCount: 1, BatchSize: 3, Seed: 2})
-	var delivered []*ledger.Block
-	svc.RegisterDelivery(func(b *ledger.Block) { delivered = append(delivered, b) })
+	defer svc.Stop()
+	first, release := holdRound(t, svc, tx("t0"))
+	var waits []*Wait
+	for i := 1; i < 8; i++ {
+		waits = append(waits, svc.SubmitAsync(tx(fmt.Sprintf("t%d", i))))
+	}
+	release()
+	for _, w := range append(waits, first) {
+		if err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][]string{{"t0", "t1", "t2"}, {"t3", "t4", "t5"}, {"t6", "t7"}}
+	if got := blockTxIDs(t, svc); !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Fatalf("blocks = %v, want %v", got, want)
+	}
+}
 
-	_ = svc.Submit(tx("a"))
-	_ = svc.Submit(tx("b"))
-	if len(delivered) != 0 {
-		t.Fatal("block cut before batch size")
+// TestLoneSubmitCutWhenQueueDry: a single Submit far below BatchSize is
+// cut as soon as its round ends — the queue is dry — with no further
+// command, and the block reaches the registered peer.
+func TestLoneSubmitCutWhenQueueDry(t *testing.T) {
+	svc := New(Config{OrdererCount: 3, BatchSize: 32, Seed: 2})
+	defer svc.Stop()
+	blockCh := make(chan *ledger.Block, 1)
+	svc.RegisterDelivery(func(b *ledger.Block) { blockCh <- b })
+	if err := svc.Submit(tx("lone")); err != nil {
+		t.Fatal(err)
 	}
-	_ = svc.Submit(tx("c"))
-	if len(delivered) != 1 || len(delivered[0].Transactions) != 3 {
-		t.Fatalf("batch cut wrong: %d blocks", len(delivered))
+	if h := svc.Height(); h != 1 {
+		t.Fatalf("height = %d after a lone Submit returned, want 1", h)
 	}
+	select {
+	case b := <-blockCh:
+		if len(b.Transactions) != 1 || b.Transactions[0].TxID != "lone" {
+			t.Fatalf("block holds %d txs, want the lone one", len(b.Transactions))
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the cut block never reached the peer")
+	}
+}
 
-	// Flush cuts a partial batch (the BatchTimeout path).
-	_ = svc.Submit(tx("d"))
-	svc.Flush()
-	if len(delivered) != 2 || len(delivered[1].Transactions) != 1 {
-		t.Fatalf("flush cut wrong")
+// TestQueuedDuringRoundCutAsOneBlock: transactions that queue while a
+// round is in flight keep the partial batch open — the queue is not dry
+// when the round ends — and come out together with it as one block.
+func TestQueuedDuringRoundCutAsOneBlock(t *testing.T) {
+	svc := New(Config{OrdererCount: 3, BatchSize: 32, Seed: 2})
+	defer svc.Stop()
+	first, release := holdRound(t, svc, tx("a"))
+	waits := []*Wait{first}
+	for _, id := range []string{"b", "c", "d"} {
+		waits = append(waits, svc.SubmitAsync(tx(id)))
 	}
-	svc.Flush() // empty flush is a no-op
-	if len(delivered) != 2 {
-		t.Fatal("empty flush cut a block")
+	release()
+	for _, w := range waits {
+		if err := w.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := [][]string{{"a", "b", "c", "d"}}
+	if got := blockTxIDs(t, svc); !slices.EqualFunc(got, want, slices.Equal[[]string]) {
+		t.Fatalf("blocks = %v, want %v", got, want)
+	}
+	if got := svc.Metrics()[metrics.OrdererRounds]; got != 2 {
+		t.Fatalf("rounds = %d, want 2", got)
 	}
 }
 
@@ -195,30 +273,6 @@ func TestOrdererDoesNotInspectContent(t *testing.T) {
 	}
 	if len(delivered) != 1 {
 		t.Fatal("bogus tx not delivered")
-	}
-}
-
-func TestBatchTimeoutCutsPartialBatch(t *testing.T) {
-	svc := New(Config{OrdererCount: 1, BatchSize: 100, BatchTimeout: 20 * time.Millisecond, Seed: 7})
-	blockCh := make(chan *ledger.Block, 1)
-	svc.RegisterDelivery(func(b *ledger.Block) { blockCh <- b })
-
-	if err := svc.Submit(tx("timed")); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case b := <-blockCh:
-		if len(b.Transactions) != 1 || b.Transactions[0].TxID != "timed" {
-			t.Fatalf("timeout block wrong: %+v", b)
-		}
-	case <-time.After(2 * time.Second):
-		t.Fatal("BatchTimeout did not cut a block")
-	}
-	// No further block appears (timer disarmed).
-	select {
-	case <-blockCh:
-		t.Fatal("spurious second block")
-	case <-time.After(60 * time.Millisecond):
 	}
 }
 

@@ -10,86 +10,37 @@ import (
 	"repro/internal/ledger"
 )
 
-// TestConcurrentSubmitAndSubscribe exercises the backlog-then-register
-// atomicity of Subscribe under -race: subscribers that register while
-// writers are cutting blocks must observe every block exactly once, in
-// order, with no gap between the returned backlog and the live handler.
-// TestStaleBatchTimerDoesNotCut reproduces the stale-callback bug: a
-// batch timer fires but loses the mutex race against an explicit cut;
-// when the callback finally runs, a fresh partial batch is pending. The
-// stale generation must make the callback a no-op instead of cutting the
-// new batch prematurely.
-func TestStaleBatchTimerDoesNotCut(t *testing.T) {
-	svc := New(Config{OrdererCount: 1, BatchSize: 10, BatchTimeout: time.Hour, Seed: 3})
-
-	// First partial batch arms the timer; remember its generation — this
-	// plays the role of the fired-but-blocked callback.
-	if err := svc.Submit(tx("a")); err != nil {
-		t.Fatal(err)
-	}
-	svc.mu.Lock()
-	staleGen := svc.batchGen
-	armed := svc.batchTimer != nil
-	svc.mu.Unlock()
-	if !armed {
-		t.Fatal("timer not armed after first pending tx")
-	}
-
-	// An explicit flush cuts the batch and disarms the timer.
-	svc.Flush()
-	if svc.Height() != 1 {
-		t.Fatalf("height = %d after flush, want 1", svc.Height())
-	}
-
-	// A fresh partial batch arrives, then the stale callback wins the
-	// mutex: it must not cut.
-	if err := svc.Submit(tx("b")); err != nil {
-		t.Fatal(err)
-	}
-	svc.timerFlush(staleGen)
-	if svc.Height() != 1 {
-		t.Fatalf("stale timer callback cut a block: height = %d", svc.Height())
-	}
-
-	// The currently armed generation still cuts.
-	svc.mu.Lock()
-	liveGen := svc.batchGen
-	svc.mu.Unlock()
-	svc.timerFlush(liveGen)
-	if svc.Height() != 2 {
-		t.Fatalf("live timer did not cut: height = %d", svc.Height())
-	}
-}
-
-// TestBatchTimerStopDrains hammers Submit/Flush with a very short
-// BatchTimeout under -race, then verifies Stop's drain: every accepted
-// transaction ends up in exactly one block (the final partial batch is
-// flushed), post-Stop submissions are refused with ErrStopped, and no
-// leaked timer callback cuts a block afterwards.
+// TestBatchTimerStopDrains verifies Stop's drain under -race: writers
+// enqueue without waiting and Stop lands while the queue still holds
+// work. Every accepted transaction ends up in exactly one block — nothing
+// is left pending — and submissions after Stop are refused with
+// ErrStopped.
 func TestBatchTimerStopDrains(t *testing.T) {
-	svc := New(Config{OrdererCount: 1, BatchSize: 100, BatchTimeout: 200 * time.Microsecond, Seed: 5})
+	svc := New(Config{OrdererCount: 1, BatchSize: 100, Seed: 5})
 
 	const writers = 4
 	const perWriter = 10
+	waits := make([][]*Wait, writers)
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < perWriter; i++ {
-				if err := svc.Submit(tx(fmt.Sprintf("s%d-%d", w, i))); err != nil {
-					t.Errorf("submit: %v", err)
-					return
-				}
-				if i%3 == 0 {
-					svc.Flush()
-				}
+				waits[w] = append(waits[w], svc.SubmitAsync(tx(fmt.Sprintf("s%d-%d", w, i))))
 			}
 		}(w)
 	}
 	wg.Wait()
-	svc.Stop() // drains the queue and flushes any final partial batch
+	svc.Stop() // drains the queue and cuts everything it ordered
 
+	for _, ws := range waits {
+		for _, w := range ws {
+			if err := w.Wait(); err != nil {
+				t.Fatalf("submit enqueued before Stop: %v", err)
+			}
+		}
+	}
 	// Every submitted transaction is in exactly one block.
 	seen := make(map[string]int)
 	var total int
@@ -107,23 +58,17 @@ func TestBatchTimerStopDrains(t *testing.T) {
 			t.Fatalf("tx %s ordered %d times", id, n)
 		}
 	}
-
 	if err := svc.Submit(tx("after-stop")); !errors.Is(err, ErrStopped) {
 		t.Fatalf("submit after Stop: err = %v, want ErrStopped", err)
-	}
-	height := svc.Height()
-	time.Sleep(5 * time.Millisecond) // ample room for a leaked timer to fire
-	if got := svc.Height(); got != height {
-		t.Fatalf("a timer fired after Stop: height %d -> %d", height, got)
 	}
 }
 
 // TestConcurrentSubmitWithTimeoutArmed races many synchronous submitters
-// against the BatchTimeout cut path under -race: whichever of the timer
-// or the size trigger cuts each block, no transaction may be lost or
-// duplicated once the dust settles.
+// against each other under -race: whether the size trigger or a dry
+// queue cuts each block, no transaction may be lost or duplicated once
+// the dust settles.
 func TestConcurrentSubmitWithTimeoutArmed(t *testing.T) {
-	svc := New(Config{OrdererCount: 3, BatchSize: 5, BatchTimeout: 300 * time.Microsecond, Seed: 11})
+	svc := New(Config{OrdererCount: 3, BatchSize: 5, Seed: 11})
 
 	const writers = 8
 	const perWriter = 12
@@ -282,6 +227,10 @@ func TestSlowPeerDoesNotStallFastPeer(t *testing.T) {
 	}
 }
 
+// TestConcurrentSubmitAndSubscribe exercises the backlog-then-register
+// atomicity of Subscribe under -race: subscribers that register while
+// writers are cutting blocks must observe every block exactly once, in
+// order, with no gap between the returned backlog and the live handler.
 func TestConcurrentSubmitAndSubscribe(t *testing.T) {
 	svc := New(Config{OrdererCount: 1, BatchSize: 1, Seed: 7})
 

@@ -618,16 +618,11 @@ func (p *Peer) Reconciler() *reconcile.Reconciler { return p.reconciler }
 // TickReconcile advances the reconciler by one tick: missing private
 // data entries whose backoff elapsed are pulled from other members (via
 // gossip, served from their transient or committed stores) and recovered
-// values are committed. Returns the number of collections recovered this
-// tick.
-func (p *Peer) TickReconcile() int { return p.tickReconcile() }
-
-// ReconcileMissing runs one reconciler tick — the managed replacement of
-// the old one-shot pull. Entries that keep failing back off exponentially
+// values are committed. Entries that keep failing back off exponentially
 // (in ticks) and are abandoned after SecurityConfig.ReconcileMaxAttempts;
 // see Reconciler for the full control surface. Returns the number of
-// collections recovered.
-func (p *Peer) ReconcileMissing() int { return p.tickReconcile() }
+// collections recovered this tick.
+func (p *Peer) TickReconcile() int { return p.tickReconcile() }
 
 // tickReconcile runs one reconciler tick and flushes any recovered
 // private values to the state store, tagged with the current chain

@@ -65,13 +65,15 @@ type Peer interface {
 
 // Orderer is the ordering service surface a gateway depends on.
 type Orderer interface {
-	// Order submits an assembled transaction and returns once the
-	// ordering service has accepted it into a cut block (or the context
-	// expires). Acceptance does not imply validity — the commit status
-	// arrives through the deliver stream.
+	// Order submits an assembled transaction and returns once its raft
+	// round finished (or the context expires): the transaction is then
+	// in a cut block or pending behind more queued work, which the
+	// orderer cuts without being asked. When the transaction filled a
+	// BatchSize block, Order also waits until every peer registered with
+	// the orderer processed that block; a block cut because the queue
+	// ran dry is not waited for. Acceptance does not imply validity —
+	// the commit status arrives through the deliver stream.
 	Order(ctx context.Context, tx *ledger.Transaction) error
-	// FlushTx cuts the partial batch if it still holds the transaction.
-	FlushTx(txID string)
 }
 
 // Commit is a pending commit-status handle returned by SubmitAsync.

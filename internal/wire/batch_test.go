@@ -18,7 +18,7 @@ func TestBatchedStreamDeliversInOrder(t *testing.T) {
 	const events = 101 // 3 full batches of 32 + a remainder of 5
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"count": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			batch := make([]event, 0, eventBatchMax)
@@ -69,7 +69,7 @@ func TestSlowConsumerEvictedUnderBatches(t *testing.T) {
 	canceled := make(chan struct{})
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"flood": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			var n uint64
@@ -135,7 +135,7 @@ func TestCancelStopsBatchedStream(t *testing.T) {
 	var once sync.Once // the handler runs twice: the flood, then the reuse probe
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"flood": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			var n uint64
@@ -214,7 +214,7 @@ func TestPooledBufferOwnershipStress(t *testing.T) {
 			return &evaluateResponse{Payload: req.Tx}, nil
 		},
 		"ticker": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			var n uint64

@@ -191,7 +191,14 @@ func (c *Client) dispatchResponse(stream uint64, resp *response, payload []byte)
 	if pc, ok := c.calls[stream]; ok {
 		delete(c.calls, stream)
 		c.noteInLocked(pc.method, len(payload))
+		es := c.streams[stream]
 		c.mu.Unlock()
+		if es != nil && resp.More {
+			// A stream's ACK. The server sends it before any event of
+			// the stream, so this sizes the buffer before the first
+			// event is read.
+			es.reserve(resp.Body)
+		}
 		pc.ch <- respMsg{resp: resp, payload: payload}
 		return
 	}
@@ -447,11 +454,33 @@ type eventStream struct {
 }
 
 // streamBuffer matches deliver.DefaultBufferSize: the wire stream adds
-// one more bounded stage to the same slow-consumer policy.
+// one more bounded stage to the same slow-consumer policy. It is the
+// headroom for live events; a replay announced in the ACK is buffered
+// on top of it, as the in-process deliver service does.
 const streamBuffer = 1024
+
+// maxStreamBacklog caps the replay a server can make the client reserve
+// buffer space for (16 MiB of channel slots).
+const maxStreamBacklog = 1 << 20
 
 func newEventStream(c *Client, method string) *eventStream {
 	return &eventStream{c: c, method: method, ch: make(chan deliver.Event, streamBuffer)}
+}
+
+// reserve resizes the buffer to the ACK's announced backlog plus the
+// live headroom. It runs on the read loop before the stream's first
+// event arrives and before Stream hands the stream to its consumer.
+func (es *eventStream) reserve(ackBody []byte) {
+	var ack streamAck
+	if len(ackBody) == 0 || unmarshalBody(ackBody, &ack) != nil || ack.Backlog == 0 {
+		return
+	}
+	n := min(ack.Backlog, maxStreamBacklog)
+	es.mu.Lock()
+	defer es.mu.Unlock()
+	if !es.closed {
+		es.ch = make(chan deliver.Event, int(n)+streamBuffer)
+	}
 }
 
 // push enqueues an event without blocking; false means the buffer is

@@ -229,18 +229,14 @@ func NewOrdererClient(c *Client) *OrdererClient { return &OrdererClient{c: c} }
 // Close releases the underlying connection.
 func (o *OrdererClient) Close() { o.c.Close() }
 
-// Order submits the transaction's canonical bytes and returns once the
-// remote orderer accepted it into a cut block.
+// Order submits the transaction's canonical bytes and returns when the
+// remote orderer's Order returns: once the transaction's raft round
+// finished and, if it filled a BatchSize block, once every peer
+// registered in the orderer's process processed that block (see
+// service.Orderer). Remote peers follow order.blocks and are not waited
+// for.
 func (o *OrdererClient) Order(ctx context.Context, tx *ledger.Transaction) error {
 	return o.c.Call(ctx, "order.submit", &orderRequest{Tx: tx.Bytes()}, nil)
-}
-
-// FlushTx cuts the remote partial batch if it still holds the
-// transaction.
-func (o *OrdererClient) FlushTx(txID string) {
-	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	o.c.Call(ctx, "order.flushtx", &txIDRequest{TxID: txID}, nil)
 }
 
 // Blocks streams ordered blocks from number `from` — the peer

@@ -44,8 +44,8 @@ func codecSampleBodies() []any {
 		&pvtRequest{TxID: "tx9", Collection: "pdc1"},
 		&infoResponse{Name: "peer0.org1", Org: "org1", Channel: "c1", Height: 42, StateHash: "ab12", Base: 17},
 		&orderRequest{Tx: []byte(`{"tx_id":"tx9"}`)},
-		&txIDRequest{TxID: "tx9"},
-		&txIDRequest{}, // empty string field
+		&pvtRequest{}, // empty string fields
+		&streamAck{Backlog: 5000},
 		&blocksRequest{From: 9},
 		&evaluateResponse{Payload: []byte("answer")},
 		&submitAsyncResponse{Handle: 3, TxID: "tx9"},

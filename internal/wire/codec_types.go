@@ -28,6 +28,8 @@ func binMarshal(v any) (data []byte, ok bool) {
 		b = codec.AppendOpt(b, t, appRequest)
 	case *response:
 		b = codec.AppendOpt(b, t, appResponse)
+	case *streamAck:
+		b = codec.AppendOpt(b, t, func(b []byte, v *streamAck) []byte { return codec.AppendUvarint(b, v.Backlog) })
 	case *event:
 		b = codec.AppendOpt(b, t, appEvent)
 	case *endorseRequest:
@@ -40,8 +42,6 @@ func binMarshal(v any) (data []byte, ok bool) {
 		b = codec.AppendOpt(b, t, appInfoResponse)
 	case *orderRequest:
 		b = codec.AppendOpt(b, t, appOrderRequest)
-	case *txIDRequest:
-		b = codec.AppendOpt(b, t, appTxIDRequest)
 	case *blocksRequest:
 		b = codec.AppendOpt(b, t, appBlocksRequest)
 	case *evaluateResponse:
@@ -83,6 +83,8 @@ func binUnmarshal(data []byte, v any) (ok bool, err error) {
 		decodeInto(&r, t, readRequest)
 	case *response:
 		decodeInto(&r, t, readResponse)
+	case *streamAck:
+		decodeInto(&r, t, func(r *codec.Reader) *streamAck { return &streamAck{Backlog: r.Uvarint()} })
 	case *event:
 		decodeInto(&r, t, readEvent)
 	case *endorseRequest:
@@ -106,8 +108,6 @@ func binUnmarshal(data []byte, v any) (ok bool, err error) {
 		})
 	case *orderRequest:
 		decodeInto(&r, t, func(r *codec.Reader) *orderRequest { return &orderRequest{Tx: r.OptBytes()} })
-	case *txIDRequest:
-		decodeInto(&r, t, func(r *codec.Reader) *txIDRequest { return &txIDRequest{TxID: r.String()} })
 	case *blocksRequest:
 		decodeInto(&r, t, func(r *codec.Reader) *blocksRequest { return &blocksRequest{From: r.Uvarint()} })
 	case *evaluateResponse:
@@ -330,8 +330,6 @@ func appInfoResponse(b []byte, v *infoResponse) []byte {
 }
 
 func appOrderRequest(b []byte, v *orderRequest) []byte { return codec.AppendOptBytes(b, v.Tx) }
-
-func appTxIDRequest(b []byte, v *txIDRequest) []byte { return codec.AppendString(b, v.TxID) }
 
 func appBlocksRequest(b []byte, v *blocksRequest) []byte { return codec.AppendUvarint(b, v.From) }
 

@@ -63,7 +63,8 @@ func RegisterPeer(s *Server, p *peer.Peer) {
 			}
 		}
 		defer stream.Close()
-		if err := sink.Ack(); err != nil {
+		// The stream's buffer holds the replayed events right now.
+		if err := sink.Ack(len(stream.Events())); err != nil {
 			return nil, err
 		}
 		return nil, pumpEvents(ctx, stream, sink)
@@ -120,7 +121,7 @@ func RegisterPeer(s *Server, p *peer.Peer) {
 		if err != nil {
 			return nil, err
 		}
-		if err := sink.Ack(); err != nil {
+		if err := sink.Ack(len(m.Chunks)); err != nil {
 			return nil, err
 		}
 		// One chunk file per frame, verbatim: the manifest's chunk hashes
@@ -189,7 +190,6 @@ func (se *snapshotExports) lookup(id uint64) (string, bool) {
 // RegisterOrderer serves the ordering surface:
 //
 //	order.submit     unary   orderRequest -> {}
-//	order.flushtx    unary   txIDRequest -> {}
 //	order.blocks     stream  blocksRequest -> block events
 func RegisterOrderer(s *Server, o *orderer.Service) {
 	s.Handle("order.submit", func(ctx context.Context, body Body, _ *Sink) (any, error) {
@@ -202,14 +202,6 @@ func RegisterOrderer(s *Server, o *orderer.Service) {
 			return nil, fmt.Errorf("wire: order.submit: %w", err)
 		}
 		return nil, o.Order(ctx, tx)
-	})
-	s.Handle("order.flushtx", func(_ context.Context, body Body, _ *Sink) (any, error) {
-		var req txIDRequest
-		if err := body.Decode(&req); err != nil {
-			return nil, fmt.Errorf("wire: order.flushtx: %w", err)
-		}
-		o.FlushTx(req.TxID)
-		return nil, nil
 	})
 	s.Handle("order.blocks", func(ctx context.Context, body Body, sink *Sink) (any, error) {
 		var req blocksRequest
@@ -236,7 +228,7 @@ func RegisterOrderer(s *Server, o *orderer.Service) {
 			return nil, err
 		}
 		defer sub.Close()
-		if err := sink.Ack(); err != nil {
+		if err := sink.Ack(len(backlog)); err != nil {
 			return nil, err
 		}
 		next := req.From

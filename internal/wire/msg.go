@@ -28,6 +28,14 @@ type response struct {
 	More bool
 }
 
+// streamAck is the body of a stream's ACK response: how many replayed
+// events the server queued for this stream before its live ones. The
+// client sizes the stream's buffer to hold that backlog on top of its
+// live headroom, so only live lag can evict a consumer.
+type streamAck struct {
+	Backlog uint64
+}
+
 // WireError is the serialized form of a call error. Code maps back to
 // the originating package's sentinel on the client so errors.Is works
 // across the process boundary; RetryAfterMs carries the admission
@@ -105,11 +113,6 @@ type infoResponse struct {
 // canonical bytes) for ordering.
 type orderRequest struct {
 	Tx []byte
-}
-
-// txIDRequest names a transaction for order.flushtx.
-type txIDRequest struct {
-	TxID string
 }
 
 // blocksRequest opens an order.blocks stream from block number From.

@@ -322,10 +322,18 @@ type Sink struct {
 // Ack confirms the subscription is registered. Events sent after Ack
 // are guaranteed to include everything from the subscription's start
 // point — the client blocks on this before ordering transactions whose
-// commits it must observe.
-func (k *Sink) Ack() error {
+// commits it must observe. backlog is the number of replayed events the
+// handler will send before live ones; the client buffers that many on
+// top of its live headroom, so a consumer that reads a long replay
+// slowly is not evicted for it.
+func (k *Sink) Ack(backlog int) error {
 	k.acked = true
-	payload, err := marshalBody(&response{More: true})
+	body, err := marshalBody(&streamAck{Backlog: uint64(backlog)})
+	if err != nil {
+		return err
+	}
+	payload, err := marshalBody(&response{Body: body, More: true})
+	putBuf(body)
 	if err != nil {
 		return err
 	}

@@ -64,7 +64,7 @@ func serveArtifact(t *testing.T, dir string) *Server {
 			if err != nil {
 				return nil, err
 			}
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			for i, ci := range m.Chunks {

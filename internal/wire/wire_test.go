@@ -145,7 +145,7 @@ func dialT(t *testing.T, s *Server, opts ClientOptions) *Client {
 }
 
 // echoBody is the catalogue type the echo handlers bounce.
-type echoBody = txIDRequest
+type echoBody = pvtRequest
 
 func TestUnaryCall(t *testing.T) {
 	s := startServer(t, ServerOptions{}, map[string]Handler{
@@ -271,7 +271,7 @@ func TestStreamDeliversEventsInOrder(t *testing.T) {
 	const events = 50
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"count": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			for i := 0; i < events; i++ {
@@ -312,7 +312,7 @@ func TestStreamErrorSurfacesInErr(t *testing.T) {
 	boom := errors.New("boom")
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"fail": func(_ context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			return nil, boom
@@ -347,7 +347,7 @@ func TestStreamClientCloseCancelsHandler(t *testing.T) {
 	canceled := make(chan struct{})
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"live": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			<-ctx.Done()
@@ -376,7 +376,7 @@ func TestConnDropCancelsStreamHandler(t *testing.T) {
 	canceled := make(chan struct{})
 	s := startServer(t, ServerOptions{}, map[string]Handler{
 		"live": func(ctx context.Context, _ Body, sink *Sink) (any, error) {
-			if err := sink.Ack(); err != nil {
+			if err := sink.Ack(0); err != nil {
 				return nil, err
 			}
 			<-ctx.Done()
@@ -490,7 +490,6 @@ func TestRPCCatalogueHasBinaryEncodings(t *testing.T) {
 		"peer.snapshot.meta":   {nil, &snapshotMetaResponse{}},
 		"peer.snapshot.chunks": {&snapshotChunksRequest{}, &event{}},
 		"order.submit":         {&orderRequest{}, nil},
-		"order.flushtx":        {&txIDRequest{}, nil},
 		"order.blocks":         {&blocksRequest{}, &event{}},
 		"gw.evaluate":          {&service.InvokeRequest{}, &evaluateResponse{}},
 		"gw.submit":            {&service.InvokeRequest{}, &service.SubmitResult{}},
